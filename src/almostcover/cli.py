@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -36,14 +35,6 @@ SCALE_NOTE = (
     "The exact solver enumerates affinely closed subsets, which is feasible "
     "at desk scale only: roughly |V| <= 30 points in dimension <= 4."
 )
-
-
-def _threads() -> int:
-    raw = os.environ.get("ALMOSTCOVER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_input(args):
@@ -130,7 +121,13 @@ def cmd_bound(args) -> int:
         raise ValueError(f"point index {args.point} out of range (0..{len(V) - 1})")
     results = {}
     lines = [f"point set: {len(V)} points, dim {V.dim}, field {V.field.name}"]
-    methods = ("count", "cube", "cert") if args.method == "all" else (args.method,)
+    if args.method != "all":
+        methods = (args.method,)
+    elif V.is_zero_one():
+        methods = ("count", "cube", "cert")
+    else:
+        # the cube counting bound holds only on 0-1 sets
+        methods = ("count", "cert")
     chain = {}
     for method in methods:
         if method == "count":
@@ -183,9 +180,7 @@ def cmd_solve(args) -> int:
             if spec is None:
                 raise ValueError("--symmetry needs a --family input")
             generators = symmetry_generators(spec)
-        numbers = ac_numbers(
-            V, budget=budget, generators=generators, mode=args.mode, threads=_threads()
-        )
+        numbers = ac_numbers(V, budget=budget, generators=generators, mode=args.mode)
         results = {
             "ac_max": str(numbers.ac_max),
             "ac_min": str(numbers.ac_min),

@@ -23,6 +23,7 @@ hyperplane directly and serves as a cross-check of the closed-set mode.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InvariantError
@@ -99,96 +100,106 @@ class ACNumbers:
     orbits: OrbitPartition | None = None
 
 
-def _maximal_closed_sets(V: PointSet, v_idx: int):
-    """All maximal affinely closed subsets of V avoiding the excluded point.
+def _indices(mask):
+    """Point indices of a bitmask, ascending."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _flat_lattice(V: PointSet):
+    """Every proper flat of V, each with the points it is a maximal trace for.
+
+    A flat is an affinely closed subset of V (it equals the meet of its own
+    span with V); proper means not all of V.  Flats are bitmasks over the
+    point indices.  A flat F is a maximal closed set avoiding v exactly when
+    v is outside F but inside every one-point extension closure of F, so
+    each flat is stored as (F, meet of its extension closures minus F).
 
     Breadth-first closure enumeration: start from singletons and extend one
     point at a time.  Each node keeps, for every point outside it, the
     residual of (point - base) against the node's echelonized direction
     rows, so an extension's closure is read off by a parallelism test and
-    the residuals propagate in O(|V| n) per extension.
+    the residuals propagate in O(|V| n) per extension.  A node's residuals
+    are dropped once it has been expanded.
     """
     pts = V.points
     m = len(pts)
-    others = [j for j in range(m) if j != v_idx]
-    maximal = []
+    full = (1 << m) - 1
+    lattice = []
     seen = set()
-    queue = []
-    for j in others:
+    queue = deque()
+    for j in range(m):
+        key = 1 << j
+        if key == full:
+            continue
         base = pts[j]
         res = [None] * m
         for w in range(m):
             if w != j:
                 res[w] = [a - b for a, b in zip(pts[w], base)]
-        key = frozenset((j,))
         seen.add(key)
         queue.append((key, res))
-    head = 0
-    while head < len(queue):
-        key, res = queue[head]
-        head += 1
-        alive = False
-        absorbed = set()
-        for u in others:
-            if u in key or u in absorbed:
+    while queue:
+        key, res = queue.popleft()
+        common = full
+        absorbed = key
+        for u in range(m):
+            if absorbed >> u & 1:
                 continue
             r = res[u]
             pivot = next(i for i, x in enumerate(r) if x)
             rp = r[pivot]
             rhat = r if rp == 1 else [x / rp for x in r]
-            joins = []
-            contains_v = False
-            for w in range(m):
+            # extension closures partition the points outside the flat, so
+            # every earlier point outside it is already absorbed
+            joins = 0
+            for w in range(u, m):
                 rw = res[w]
                 if rw is None:
                     continue
                 lam = rw[pivot]
                 if lam and all(a == lam * b for a, b in zip(rw, rhat)):
-                    if w == v_idx:
-                        contains_v = True
-                        break
-                    joins.append(w)
-            if contains_v:
-                continue
-            alive = True
-            absorbed.update(joins)
-            new_key = key.union(joins)
-            if new_key not in seen:
-                seen.add(new_key)
-                join_set = set(joins)
+                    joins |= 1 << w
+            absorbed |= joins
+            closure = key | joins
+            common &= closure
+            if closure != full and closure not in seen:
+                seen.add(closure)
                 new_res = [None] * m
                 for w in range(m):
                     rw = res[w]
-                    if rw is None or w in join_set:
+                    if rw is None or joins >> w & 1:
                         continue
                     lam = rw[pivot]
                     new_res[w] = [a - lam * b for a, b in zip(rw, rhat)] if lam else rw
-                queue.append((new_key, new_res))
-        if not alive:
-            maximal.append(tuple(sorted(key)))
-    maximal.sort()
-    return maximal
+                queue.append((closure, new_res))
+        lattice.append((key, common & ~key))
+    return lattice
 
 
-def trace_family(V: PointSet, point) -> TraceFamily:
-    """The maximal affinely closed subsets of V avoiding the given point."""
+def trace_family(V: PointSet, point, _lattice=None) -> TraceFamily:
+    """The maximal affinely closed subsets of V avoiding the given point.
+
+    ``_lattice`` is V's flat lattice when the caller already built it for
+    other points of V; otherwise it is built here.
+    """
     v_idx = V.index_of(point)
-    traces = _maximal_closed_sets(V, v_idx)
+    lattice = _flat_lattice(V) if _lattice is None else _lattice
+    bit = 1 << v_idx
+    traces = sorted(_indices(flat) for flat, maximal_for in lattice if maximal_for & bit)
     return TraceFamily(source=V, excluded_index=v_idx, traces=tuple(traces))
 
 
-def hyperplane_trace_family(V: PointSet, point) -> TraceFamily:
-    """Traces of every hyperplane of a finite-field ambient space.
+def _hyperplane_traces(V: PointSet):
+    """Every distinct nonempty hyperplane trace on V, with its first hyperplane.
 
     Only available over GF(p); enumerates all (p^n - 1)/(p - 1) * p
-    hyperplanes in canonical form, keeps the nonempty traces avoiding the
-    excluded point, and prunes duplicates and non-maximal traces.
+    hyperplanes in canonical form and evaluates each on every point.
+    Returns a dict from trace bitmask to the first hyperplane, in canonical
+    order, that cuts it out.
     """
     field = V.field
     if field.is_rational:
         raise ValueError("exhaustive hyperplane enumeration needs a finite field")
-    v_idx = V.index_of(point)
-    v_pt = V.points[v_idx]
     n = V.dim
     zero, one = field.zero(), field.one()
     elements = field.elements()
@@ -202,30 +213,44 @@ def hyperplane_trace_family(V: PointSet, point) -> TraceFamily:
             for tail in stack:
                 yield (zero,) * lead + (one,) + tail
 
-    best = {}
+    first = {}
     for normal in normals():
         for offset in elements:
             H = Hyperplane(normal, offset)
-            if H.contains(v_pt):
-                continue
-            trace = tuple(j for j, p in enumerate(V.points) if j != v_idx and H.contains(p))
-            if trace and trace not in best:
-                best[trace] = H
+            mask = 0
+            for j, p in enumerate(V.points):
+                if H.contains(p):
+                    mask |= 1 << j
+            if mask and mask not in first:
+                first[mask] = H
+    return first
+
+
+def hyperplane_trace_family(V: PointSet, point, _table=None) -> TraceFamily:
+    """Traces of every hyperplane of a finite-field ambient space.
+
+    Only available over GF(p); keeps the nonempty hyperplane traces
+    avoiding the excluded point and prunes non-maximal ones.  It evaluates
+    hyperplanes directly and never reads the flat lattice, so it serves as
+    an independent check of the closed-set mode.  ``_table`` is V's
+    hyperplane trace table when the caller already built it for other
+    points of V; otherwise it is built here.
+    """
+    table = _hyperplane_traces(V) if _table is None else _table
+    v_idx = V.index_of(point)
+    bit = 1 << v_idx
     # drop traces strictly inside another trace
-    keys = sorted(best, key=len, reverse=True)
+    candidates = sorted((mask for mask in table if not mask & bit), key=int.bit_count, reverse=True)
     kept = []
-    kept_sets = []
-    for t in keys:
-        s = set(t)
-        if not any(s < k for k in kept_sets):
-            kept.append(t)
-            kept_sets.append(s)
-    kept.sort()
+    for mask in candidates:
+        if not any(mask & k == mask for k in kept):
+            kept.append(mask)
+    kept = sorted((_indices(mask), table[mask]) for mask in kept)
     return TraceFamily(
         source=V,
         excluded_index=v_idx,
-        traces=tuple(kept),
-        hyperplanes=tuple(best[t] for t in kept),
+        traces=tuple(t for t, _ in kept),
+        hyperplanes=tuple(H for _, H in kept),
     )
 
 
@@ -319,7 +344,16 @@ def realize_trace(V: PointSet, point, trace) -> Hyperplane:
 
 def min_almost_cover(V: PointSet, point, budget=None, mode="closed") -> CoverSolution:
     """Exact smallest almost cover of (V, point), with witness hyperplanes."""
-    v_idx = V.index_of(point)
+    return _solve_point(V, V.index_of(point), budget, mode)
+
+
+def _solve_point(V: PointSet, v_idx, budget, mode, shared=None, data=None) -> CoverSolution:
+    """Minimum almost cover at one point, reusing what other points of V share.
+
+    ``shared`` is V's flat lattice (closed mode) or hyperplane trace table
+    (hyperplanes mode) and ``data`` its Groebner data; each is built here
+    when not given.
+    """
     v_pt = V.points[v_idx]
     others = [j for j in range(len(V)) if j != v_idx]
     if not others:
@@ -327,12 +361,14 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed") -> CoverSol
             excluded=v_pt, size=0, hyperplanes=(), lower_bound_used=0, optimal=True
         )
     if mode == "closed":
-        family = trace_family(V, v_pt)
+        family = trace_family(V, v_pt, shared)
     elif mode == "hyperplanes":
-        family = hyperplane_trace_family(V, v_pt)
+        family = hyperplane_trace_family(V, v_pt, shared)
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
-    floor = buchberger_moller(V).separating_degree(v_pt)
+    if data is None:
+        data = buchberger_moller(V)
+    floor = data.separating_degree(v_pt)
     position = {j: i for i, j in enumerate(others)}
     masks = [sum(1 << position[j] for j in t) for t in family.traces]
     union = 0
@@ -417,11 +453,11 @@ def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
     return OrbitPartition(orbits=tuple(orbits), is_transitive=len(orbits) == 1)
 
 
-def ac_numbers(
-    V: PointSet, budget=None, generators=None, mode="closed", threads=1
-) -> ACNumbers:
+def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNumbers:
     """Almost-cover numbers of every point: the per-point table, max and min.
 
+    The flat lattice (or, in hyperplanes mode, the hyperplane trace table)
+    and the Groebner data are built once and shared by every point solved.
     With symmetry generators, one representative per orbit is solved and the
     value shared across the orbit (covers map to covers under any affine
     symmetry of the set).
@@ -433,16 +469,15 @@ def ac_numbers(
     else:
         reps = list(range(len(V)))
 
-    def solve(idx):
-        return min_almost_cover(V, V.points[idx], budget=budget, mode=mode)
-
-    if threads > 1 and len(reps) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = dict(zip(reps, pool.map(solve, reps)))
-    else:
-        solutions = {idx: solve(idx) for idx in reps}
+    shared = None
+    # a single point needs no traces, in any mode and over any field
+    if len(V) > 1:
+        if mode == "closed":
+            shared = _flat_lattice(V)
+        elif mode == "hyperplanes":
+            shared = _hyperplane_traces(V)
+    data = buchberger_moller(V)
+    solutions = {idx: _solve_point(V, idx, budget, mode, shared, data) for idx in reps}
 
     per_point = [None] * len(V)
     if partition is not None:

@@ -89,6 +89,14 @@ def test_bound_cube_rejects_non_01(capsys):
     assert "0-1" in err
 
 
+def test_bound_all_skips_cube_on_non_01(capsys):
+    code, out, _ = run(capsys, "bound", "--family", "jnq:2:3", "--json", "--no-timings")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert "cube_count" not in results
+    assert results["ordering_chain"]["holds"] is True
+
+
 def test_solve_single_point(capsys):
     code, out, _ = run(
         capsys, "solve", "--family", "cube:3", "--point", "0", "--json", "--no-timings"
@@ -209,10 +217,3 @@ def test_budget_exhaustion_warns_but_exits_zero(tmp_path, capsys):
     doc_exact = json.loads(out)
     assert doc_exact["results"]["optimal"] is True
     assert int(doc_exact["results"]["size"]) < int(doc["results"]["size"])
-
-
-def test_thread_env_does_not_change_output(monkeypatch, capsys):
-    _, baseline, _ = run(capsys, "solve", "--family", "ag:2:2", "--all", "--json", "--no-timings")
-    monkeypatch.setenv("ALMOSTCOVER_THREADS", "4")
-    _, threaded, _ = run(capsys, "solve", "--family", "ag:2:2", "--all", "--json", "--no-timings")
-    assert threaded == baseline

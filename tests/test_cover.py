@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from almostcover.cover import (
     ac_numbers,
@@ -234,9 +235,24 @@ def test_trace_family_matches_naive_enumeration():
             grid = list(itertools.product(range(-2, 3), repeat=n))
         size = rng.randint(1, min(7, len(grid)))
         V = PointSet.from_ints(field, rng.sample(grid, size))
-        v = V.points[rng.randrange(size)]
-        fam = trace_family(V, v)
-        assert fam.traces == naive_trace_family(V, v)
+        for v in V.points:
+            fam = trace_family(V, v)
+            assert fam.traces == naive_trace_family(V, v)
+
+
+gf3_grids = {n: list(itertools.product(range(3), repeat=n)) for n in (1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda n: st.lists(st.sampled_from(gf3_grids[n]), min_size=1, max_size=3**n, unique=True)
+))
+def test_closed_traces_match_hyperplane_traces_gf3(rows):
+    # the flat lattice and the hyperplane enumeration share no code, so
+    # agreement at every excluded point checks one against the other
+    V = PointSet.from_ints(GF(3), rows)
+    for v in V.points:
+        assert trace_family(V, v).traces == hyperplane_trace_family(V, v).traces
 
 
 def test_hyperplane_enumeration_counts():
@@ -292,14 +308,17 @@ def test_ac_numbers_with_symmetry_matches_direct():
     assert len(reduced.solutions) == 1
 
 
-def test_ac_numbers_threaded_matches_sequential():
-    V = qpoints([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
-    seq = ac_numbers(V, threads=1)
-    par = ac_numbers(V, threads=3)
-    assert seq.per_point == par.per_point
-    assert [s.hyperplanes for s in seq.solutions.values()] == [
-        s.hyperplanes for s in par.solutions.values()
-    ]
+def test_ac_numbers_matches_standalone_solves():
+    for V in (
+        qpoints([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]),
+        generate(FamilySpec.parse("vnk:3:1")),
+        PointSet.from_ints(GF(3), [(0, 0), (1, 0), (2, 1), (1, 2), (0, 2)]),
+    ):
+        numbers = ac_numbers(V)
+        for idx, sol in numbers.solutions.items():
+            alone = min_almost_cover(V, V.points[idx])
+            assert (sol.size, sol.hyperplanes) == (alone.size, alone.hyperplanes)
+            assert numbers.per_point[idx] == alone.size
 
 
 def test_solution_witnesses_are_deterministic():
