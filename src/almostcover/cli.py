@@ -171,7 +171,9 @@ def cmd_bound(args) -> int:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     V, spec, source = _load_input(args)
-    budget = args.budget if args.budget and args.budget > 0 else None
+    if args.budget < 0:
+        raise ValueError(f"--budget must be 0 (unlimited) or positive, got {args.budget}")
+    budget = args.budget or None
     lines = [f"point set: {len(V)} points, dim {V.dim}, field {V.field.name}"]
     warning = None
     if args.all:

@@ -4,6 +4,10 @@ Rational scalars are plain ``fractions.Fraction`` values, hence always in
 lowest terms with positive denominator.  GF(p) scalars are ``GFElement``
 residues, always reduced into [0, p).  No floating point appears anywhere;
 mixing scalars from different fields raises ``TypeError``.
+
+These are the scalars of the public API and of the independent checks
+(spans, hyperplanes, polynomial evaluation).  The hot loops convert them
+to plain ints once and back at the end (``linalg._IntKernel``).
 """
 
 from __future__ import annotations
@@ -212,9 +216,6 @@ class Field:
 
     def format(self, x) -> str:
         return str(self.scalar(x))
-
-    def sort_key(self, x):
-        return x.value if self.p is not None else x
 
     def elements(self):
         """All field elements in residue order; only finite fields support this."""

@@ -4,11 +4,22 @@ Points are plain tuples of field scalars.  All operations are pure and all
 results are canonical: row reduction picks the leftmost pivot in the first
 eligible row, and hyperplanes are scaled so their first nonzero normal entry
 is one, making every representation unique and reproducible.
+
+The hot loops (``rref`` here, Buchberger-Moeller in ``vanishing`` and the
+flat lattice in ``cover``) run on ``_IntKernel`` rows of plain ints: over
+the rationals a row is scaled to integers and kept free of common factors,
+over GF(p) it holds residues.  Field scalars are rebuilt only on the way
+out.  Spans, hyperplanes and maps stay on field scalars, so they check the
+kernel independently.
 """
 
 from __future__ import annotations
 
-from .fields import Field, scalar_field
+from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
+
+from .fields import Field, GFElement, scalar_field
 
 Point = tuple
 
@@ -26,6 +37,59 @@ def _entry_field(entries) -> Field:
     return field
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+class _IntKernel:
+    """Rows of plain ints standing in for one field's scalars.
+
+    Over the rationals a row stands for a rational row up to a nonzero
+    factor and ``normalize`` keeps it primitive; over GF(p) it holds
+    residues and ``normalize`` reduces them mod p.  Rows are combined by
+    cross-multiplication (``eliminate``), which needs no division in either
+    field; zero tests and pivots read the same in both.
+    """
+
+    __slots__ = ("field", "normalize")
+
+    def __init__(self, field: Field):
+        self.field = field
+        p = field.p
+        self.normalize = _primitive if p is None else (lambda row: [x % p for x in row])
+
+    def eliminate(self, row, prow, c):
+        """row with its column c cleared by the nonzero prow[c].
+
+        A shorter prow counts as padded with zeros.
+        """
+        pv, f = prow[c], row[c]
+        return self.normalize([pv * a - f * b for a, b in zip_longest(row, prow, fillvalue=0)])
+
+    def ints(self, values):
+        """(row, scale): the ints scale * values, scale the lcm of the denominators."""
+        if self.field.p is not None:
+            return [x.value for x in values], 1
+        scale = lcm(*(x.denominator for x in values))
+        return [x.numerator * (scale // x.denominator) for x in values], scale
+
+    def int_points(self, points):
+        """(points, scale): every point times one common scale, as int tuples."""
+        dim = len(points[0])
+        flat, scale = self.ints([x for p in points for x in p])
+        return [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], scale
+
+    def scalars(self, row, den=1) -> tuple:
+        """The field scalars row[i] / den."""
+        p = self.field.p
+        if p is None:
+            return tuple(Fraction(x, den) for x in row)
+        inv = pow(den, -1, p)
+        return tuple(GFElement(x * inv, p) for x in row)
+
+
 def rref(matrix):
     """Reduced row echelon form of a rectangular scalar matrix.
 
@@ -34,34 +98,29 @@ def rref(matrix):
     one and cleared above and below.
     """
     rows = [list(r) for r in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        _entry_field(x for r in rows for x in r)
-    else:
-        width = 0
+    if not rows:
+        return 0, (), ()
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged matrix")
+    kernel = _IntKernel(_entry_field(x for r in rows for x in r))
+    rows = [kernel.normalize(kernel.ints(r)[0]) for r in rows]
     pivots = []
     r = 0
     for c in range(width):
-        hit = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                hit = i
-                break
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if hit is None:
             continue
         rows[r], rows[hit] = rows[hit], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = kernel.eliminate(row, prow, c)
         pivots.append(c)
         r += 1
-    return r, tuple(tuple(row) for row in rows), tuple(pivots)
+    out = [kernel.scalars(row, row[c]) for row, c in zip(rows, pivots)]
+    out.extend(kernel.scalars(row) for row in rows[r:])
+    return r, tuple(out), tuple(pivots)
 
 
 class PointSet:

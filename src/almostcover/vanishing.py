@@ -11,6 +11,11 @@ minimal non-standard monomial.
 The standard monomials form a basis of the functions on the point set, so
 their count always equals the number of points, and the set is closed under
 division.  Both facts are relied on downstream and checked in the tests.
+
+The scan runs on integer kernel rows (see ``linalg``): rational points are
+scaled once to integers by their common denominator D, which scales a
+monomial of degree d by D^d, and that factor is undone when a basis
+polynomial is built.
 """
 
 from __future__ import annotations
@@ -18,17 +23,16 @@ from __future__ import annotations
 import heapq
 
 from .errors import InvariantError
-from .linalg import PointSet, rref
+from .linalg import PointSet, _IntKernel, rref
 from .polyring import DEGLEX, Polynomial, mono_deg, mono_divides, mono_one, reduce_poly
 
 
-def _evaluate_mono(mono, point, one):
-    v = one
+def _mono_value(mono, point):
+    """A monomial's value at an integer point."""
+    v = 1
     for x, e in zip(point, mono):
         if e:
-            v = v * x**e
-            if not v:
-                break
+            v *= x**e
     return v
 
 
@@ -76,17 +80,25 @@ class GroebnerData:
         # expansions; computed once, reused for every point
         if self._inverse is None:
             field = self.source.field
-            one, zero = field.one(), field.zero()
-            npts = len(self.source)
+            points, scale = _IntKernel(field).int_points(self.source.points)
+            npts = len(points)
             rows = []
-            for j, p in enumerate(self.source.points):
-                row = [_evaluate_mono(m, p, one) for m in self.sm]
-                row.extend(one if i == j else zero for i in range(npts))
+            for j, p in enumerate(points):
+                row = [_mono_value(m, p) for m in self.sm]
+                row.extend(1 if i == j else 0 for i in range(npts))
                 rows.append(row)
-            rank, reduced, _ = rref(rows)
+            # one field scalar per distinct value keeps the |V| x 2|V| matrix
+            # from holding an object per entry
+            scalar = {x: field.from_int(x) for x in set().union(*rows)}
+            rank, reduced, _ = rref([[scalar[x] for x in row] for row in rows])
             if rank != npts:
                 raise InvariantError("evaluation matrix of standard monomials is singular")
-            self._inverse = tuple(row[npts:] for row in reduced[:npts])
+            # this inverts the evaluation matrix on scale * V; back on V, the
+            # row of a degree-d monomial takes a factor scale^d
+            self._inverse = tuple(
+                row[npts:] if scale == 1 else tuple(x * scale ** mono_deg(m) for x in row[npts:])
+                for m, row in zip(self.sm, reduced)
+            )
         return self._inverse
 
     def indicator_expansion(self, point) -> IndicatorExpansion:
@@ -149,42 +161,45 @@ class GroebnerData:
 def buchberger_moller(V: PointSet) -> GroebnerData:
     """Groebner data of the vanishing ideal of a finite point set."""
     field = V.field
-    pts = V.points
-    npts = len(pts)
+    kernel = _IntKernel(field)
+    points, scale = kernel.int_points(V.points)
+    npts = len(points)
     nvars = V.dim
-    one = field.one()
-    zero_one = V.is_zero_one()
-    if zero_one:
+    if V.is_zero_one():
         # on a 0-1 set a monomial evaluates to 1 exactly when its support
         # lies inside the point's support, so evaluation is a bitmask test
-        supports = [sum(1 << i for i, x in enumerate(p) if x) for p in pts]
-        fzero, fone = field.zero(), one
+        supports = [sum(1 << i for i, x in enumerate(p) if x) for p in points]
+
+        def values(mono):
+            msup = sum(1 << i for i, e in enumerate(mono) if e)
+            return [1 if msup & ~s == 0 else 0 for s in supports]
+
+    else:
+
+        def values(mono):
+            return [_mono_value(mono, p) for p in points]
 
     sm = []
     basis = []
     lms = []
-    # echelon rows over the point coordinates: (pivot, vector, combination)
+    # echelon rows (pivot, row): a row holds a combination's values on the
+    # points, then its coefficients over the standard monomials found
+    # before it and over its own monomial
     rows = []
 
     def reduce_candidate(mono):
-        if zero_one:
-            msup = sum(1 << i for i, e in enumerate(mono) if e)
-            vec = [fone if msup & ~s == 0 else fzero for s in supports]
-        else:
-            vec = [_evaluate_mono(mono, p, one) for p in pts]
-        combo = {mono: one}
-        for pivot, rvec, rcombo in rows:
-            f = vec[pivot]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, rvec)]
-                for m, c in rcombo.items():
-                    cur = combo.get(m)
-                    cur = -f * c if cur is None else cur - f * c
-                    if cur:
-                        combo[m] = cur
-                    else:
-                        combo.pop(m, None)
-        return vec, combo
+        row = kernel.normalize(values(mono) + [0] * len(sm) + [1])
+        for pivot, prow in rows:
+            if row[pivot]:
+                row = kernel.eliminate(row, prow, pivot)
+        return row
+
+    def basis_polynomial(mono, row):
+        # the combination vanishes on every point and its coefficient at
+        # mono is nonzero; undo the point scaling and make it monic
+        terms = [(m, c * scale ** mono_deg(m)) for m, c in zip(sm + [mono], row[npts:]) if c]
+        coeffs = kernel.scalars([c for _, c in terms], terms[-1][1])
+        return Polynomial(field, nvars, {m: c for (m, _), c in zip(terms, coeffs)})
 
     start = mono_one(nvars)
     heap = [(DEGLEX.key(start), start)]
@@ -193,23 +208,13 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         _, mono = heapq.heappop(heap)
         if any(mono_divides(lm, mono) for lm in lms):
             continue
-        vec, combo = reduce_candidate(mono)
-        pivot = None
-        for i, x in enumerate(vec):
-            if x:
-                pivot = i
-                break
+        row = reduce_candidate(mono)
+        pivot = next((i for i in range(npts) if row[i]), None)
         if pivot is None:
-            # dependent: the tracked combination vanishes on every point and
-            # is monic in the current monomial by construction
-            basis.append(Polynomial(field, nvars, combo))
+            basis.append(basis_polynomial(mono, row))
             lms.append(mono)
         else:
-            pv = vec[pivot]
-            if pv != 1:
-                vec = [x / pv for x in vec]
-                combo = {m: c / pv for m, c in combo.items()}
-            rows.append((pivot, vec, combo))
+            rows.append((pivot, row))
             sm.append(mono)
             for i in range(nvars):
                 child = tuple(e + 1 if j == i else e for j, e in enumerate(mono))
@@ -224,10 +229,10 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         _, mono = heapq.heappop(heap)
         if any(mono_divides(lm, mono) for lm in lms):
             continue
-        vec, combo = reduce_candidate(mono)
-        if any(vec):
+        row = reduce_candidate(mono)
+        if any(row[:npts]):
             raise InvariantError("independent monomial found beyond a spanning set")
-        basis.append(Polynomial(field, nvars, combo))
+        basis.append(basis_polynomial(mono, row))
         lms.append(mono)
     return GroebnerData(V, basis, sm)
 

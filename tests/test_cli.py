@@ -217,3 +217,12 @@ def test_budget_exhaustion_warns_but_exits_zero(tmp_path, capsys):
     doc_exact = json.loads(out)
     assert doc_exact["results"]["optimal"] is True
     assert int(doc_exact["results"]["size"]) < int(doc["results"]["size"])
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "branchy.txt"
+    path.write_text(BRANCHY_FILE)
+    for extra in (("--point", "2"), ("--all",)):
+        code, out, err = run(capsys, "solve", str(path), *extra, "--budget", "-5")
+        assert code == 2 and out == ""
+        assert "--budget" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,42 @@ def test_trace_family_matches_naive_enumeration():
         for v in V.points:
             fam = trace_family(V, v)
             assert fam.traces == naive_trace_family(V, v)
+
+
+# coordinates no named family or benchmark set has: fractions, negatives,
+# and residues of a 61-bit prime
+FRACTIONAL = (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(3))
+MERSENNE = GF(2**61 - 1)
+LARGE_RESIDUES = (0, 1, 2, MERSENNE.p - 2, MERSENNE.p - 1, 2**40 + 3, 987654321987654321)
+
+
+@st.composite
+def kernel_point_sets(draw, fields=(QQ, MERSENNE)):
+    field = draw(st.sampled_from(fields))
+    coords = FRACTIONAL if field.is_rational else LARGE_RESIDUES
+    dim = draw(st.integers(1, 3))
+    grid = list(itertools.product(coords, repeat=dim))
+    rows = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=7, unique=True))
+    return PointSet(field, dim, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_point_sets())
+def test_trace_family_matches_naive_on_fractional_and_large_prime_sets(V):
+    for v in V.points:
+        assert trace_family(V, v).traces == naive_trace_family(V, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel_point_sets(fields=(QQ,)),
+    st.sampled_from((Fraction(-3, 2), Fraction(2, 5), Fraction(7, 3))),
+    st.lists(st.sampled_from(FRACTIONAL), min_size=3, max_size=3),
+)
+def test_trace_family_invariant_under_fractional_affine_map(V, c, shift):
+    W = PointSet(QQ, V.dim, [tuple(c * x + t for x, t in zip(p, shift)) for p in V.points])
+    for v, w in zip(V.points, W.points):
+        assert trace_family(W, w).traces == trace_family(V, v).traces
 
 
 gf3_grids = {n: list(itertools.product(range(3), repeat=n)) for n in (1, 2)}

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostcover.fields import GF, QQ
+from almostcover.fields import GF, QQ, scalar_field
 from almostcover.linalg import (
     AffineMap,
     Hyperplane,
@@ -42,11 +42,77 @@ def test_rref_gf2():
 def test_rref_rejects_mixed_fields():
     with pytest.raises(TypeError):
         rref([[QQ.scalar(1), GF(3).scalar(1)]])
+    with pytest.raises(TypeError):
+        rref([[GF(3).scalar(1)], [GF(5).scalar(1)]])
 
 
 def test_rref_rejects_ragged():
     with pytest.raises(ValueError):
         rref(qmat([[1, 2], [1]]))
+    with pytest.raises(ValueError):
+        rref([[GF(7).scalar(1)], [GF(7).scalar(2), GF(7).scalar(3)]])
+
+
+def reference_rref(matrix):
+    """Gauss-Jordan elimination on field scalars, the oracle for ``rref``.
+
+    Same pivot rule (leftmost nonzero column, first eligible row), but every
+    step is plain Fraction/GFElement arithmetic.
+    """
+    rows = [list(r) for r in matrix]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(width):
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return r, tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+ORACLE_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**61 - 1))
+
+
+@st.composite
+def field_matrices(draw):
+    """Matrices of every shape, with zero rows and dependent rows mixed in."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    if field.is_rational:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    else:
+        entry = st.one_of(st.integers(-2, 2), st.integers(0, field.p - 1)).map(field.scalar)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("fresh", "zero", "combination")))
+        if kind == "zero":
+            rows.append([field.zero()] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(entry), draw(entry)
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * s + b * t for s, t in zip(x, y)])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_rref_matches_reference_gauss_jordan(matrix):
+    got = rref(matrix)
+    assert got == reference_rref(matrix)
+    # GFElement equals a plain int residue, so check the types separately
+    field = scalar_field(matrix[0][0])
+    assert all(scalar_field(x) == field for row in got[1] for x in row)
 
 
 small_entries = st.integers(min_value=-4, max_value=4)

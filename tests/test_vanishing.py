@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from almostcover.fields import GF, QQ
 from almostcover.linalg import PointSet, rref
@@ -201,3 +203,47 @@ def test_sm_degree_bounded_by_interpolating_degree():
     assert data.max_sm_degree() < len(V)
     assert len(data.sm) == len(V)
     assert all(mono_deg(m) <= data.max_sm_degree() for m in data.sm)
+
+
+# coordinates no named family or benchmark set has: fractions, negatives,
+# and residues of a 61-bit prime
+FRACTIONAL = (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(3))
+MERSENNE = GF(2**61 - 1)
+LARGE_RESIDUES = (0, 1, 2, MERSENNE.p - 2, MERSENNE.p - 1, 2**40 + 3, 987654321987654321)
+
+
+@st.composite
+def kernel_point_sets(draw, fields=(QQ, MERSENNE)):
+    field = draw(st.sampled_from(fields))
+    coords = FRACTIONAL if field.is_rational else LARGE_RESIDUES
+    dim = draw(st.integers(1, 3))
+    grid = list(itertools.product(coords, repeat=dim))
+    rows = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True))
+    return PointSet(field, dim, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_point_sets())
+def test_basis_and_indicators_on_fractional_and_large_prime_sets(V):
+    data = buchberger_moller(V)
+    data.check_invariants()
+    for p in V.points:
+        chi = data.indicator_expansion(p).to_polynomial(V.field, V.dim)
+        assert [chi.evaluate(q) for q in V.points] == [int(q == p) for q in V.points]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel_point_sets(fields=(QQ,)),
+    st.sampled_from((Fraction(-3, 2), Fraction(2, 5), Fraction(7, 3))),
+    st.lists(st.sampled_from(FRACTIONAL), min_size=3, max_size=3),
+)
+def test_groebner_degrees_invariant_under_fractional_affine_map(V, c, shift):
+    # an affine change of coordinates keeps every deglex leading monomial,
+    # so the standard monomials and separating degrees must not move
+    W = PointSet(QQ, V.dim, [tuple(c * x + t for x, t in zip(p, shift)) for p in V.points])
+    dv, dw = buchberger_moller(V), buchberger_moller(W)
+    assert dv.sm == dw.sm
+    assert [dv.separating_degree(p) for p in V.points] == [
+        dw.separating_degree(q) for q in W.points
+    ]
