@@ -46,16 +46,8 @@ from .linalg import (
     rref,
 )
 from .pointfile import load_pointset, parse_pointset, write_pointset
-from .polyring import DEGLEX, LEX, Polynomial, TermOrder, reduce_poly
-from .vanishing import (
-    GroebnerData,
-    IndicatorExpansion,
-    buchberger_moller,
-    indicator_expansion,
-    normal_form,
-    separating_degree,
-    standard_monomials,
-)
+from .polyring import Polynomial, deglex_key, reduce_poly
+from .vanishing import GroebnerData, IndicatorExpansion, buchberger_moller
 
 __version__ = "0.1.0"
 
@@ -65,7 +57,6 @@ __all__ = [
     "AffineSubspace",
     "BoundReport",
     "CoverSolution",
-    "DEGLEX",
     "Field",
     "FamilySpec",
     "GF",
@@ -74,12 +65,10 @@ __all__ = [
     "Hyperplane",
     "IndicatorExpansion",
     "InvariantError",
-    "LEX",
     "ParseError",
     "PointSet",
     "Polynomial",
     "QQ",
-    "TermOrder",
     "TraceFamily",
     "ac_numbers",
     "affine_span",
@@ -90,20 +79,17 @@ __all__ = [
     "cor_bounds",
     "counting_lower_bound",
     "cube_counting_lower_bound",
+    "deglex_key",
     "generate",
     "hyperplane_containing_avoiding",
     "hyperplane_trace_family",
-    "indicator_expansion",
     "load_pointset",
     "min_almost_cover",
-    "normal_form",
     "orbit_reduce",
     "parse_pointset",
     "reduce_poly",
     "rref",
-    "separating_degree",
     "sharp_cover_vnk",
-    "standard_monomials",
     "symmetry_generators",
     "szw_sharp_polynomial",
     "trace_family",

@@ -5,7 +5,7 @@ Subcommands: ``gb`` (vanishing-ideal basis and standard monomials),
 ``verify`` (theorem suites).  Inputs are point-set files or inline family
 specs; ``--json`` emits a stable schema-1 document with every exact number
 serialized as a string.  Exit codes: 0 success, 2 usage or parse error,
-3 internal invariant violation.
+3 internal invariant violation or out of memory.
 """
 
 from __future__ import annotations
@@ -327,6 +327,9 @@ def main(argv=None) -> int:
         return 2
     except (InvariantError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory. {SCALE_NOTE}", file=sys.stderr)
         return 3
 
 

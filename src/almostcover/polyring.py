@@ -1,4 +1,4 @@
-"""Multivariate polynomials with exact coefficients under deglex/lex orders.
+"""Multivariate polynomials with exact coefficients under the deglex order.
 
 Monomials are dense exponent tuples of length n.  The deglex order compares
 total degree first and breaks ties lexicographically with x1 most
@@ -46,44 +46,10 @@ def mono_text(mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class TermOrder:
-    """A total multiplicative monomial order: 'deglex' or 'lex'.
+def deglex_key(mono) -> tuple:
+    """Sort key of the deglex order: total degree, then lex with x1 first."""
+    return sum(mono), mono
 
-    Both refine the variable precedence x1 > x2 > ... > xn; the constant
-    monomial is minimal.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in ("deglex", "lex"):
-            raise ValueError(f"unknown term order {kind!r}")
-        self.kind = kind
-
-    def key(self, mono):
-        if self.kind == "deglex":
-            return (sum(mono), mono)
-        return mono
-
-    def compare(self, a, b) -> int:
-        """-1, 0 or +1 as a precedes, equals or follows b."""
-        if len(a) != len(b):
-            raise ValueError("monomials of differing dimensions")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(("TermOrder", self.kind))
-
-    def __repr__(self):
-        return f"TermOrder({self.kind!r})"
-
-
-DEGLEX = TermOrder("deglex")
-LEX = TermOrder("lex")
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x\d+)|([+\-*^]))")
 
@@ -142,10 +108,11 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(mono_deg, self.terms)) if self.terms else -1
 
-    def leading_term(self, order: TermOrder = DEGLEX):
+    def leading_term(self):
+        """(monomial, coefficient) of the deglex-largest term."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        lm = max(self.terms, key=order.key)
+        lm = max(self.terms, key=deglex_key)
         return lm, self.terms[lm]
 
     def _check_compatible(self, other: "Polynomial"):
@@ -235,7 +202,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=DEGLEX.key, reverse=True):
+        for mono in sorted(self.terms, key=deglex_key, reverse=True):
             coeff = self.field.format(self.terms[mono])
             negative = coeff.startswith("-")
             mag = coeff[1:] if negative else coeff
@@ -323,13 +290,13 @@ class Polynomial:
         return cls.from_terms(field, nvars, pairs)
 
 
-def reduce_poly(f: Polynomial, gens, order: TermOrder = DEGLEX) -> Polynomial:
+def reduce_poly(f: Polynomial, gens) -> Polynomial:
     """Normal form of f modulo a list of polynomials.
 
-    Repeatedly rewrites the order-largest monomial of f that some leading
+    Repeatedly rewrites the deglex-largest monomial of f that some leading
     monomial divides, always using the first matching generator, so the
     result is deterministic and no remaining monomial is divisible by any
-    leading monomial.  Under deglex the total degree never increases.
+    leading monomial.  The total degree never increases.
     """
     gens = list(gens)
     heads = []
@@ -339,17 +306,14 @@ def reduce_poly(f: Polynomial, gens, order: TermOrder = DEGLEX) -> Polynomial:
         f._check_compatible(g)
         if g.is_zero():
             raise ValueError("zero polynomial in the generator list")
-        lm, lc = g.leading_term(order)
+        lm, lc = g.leading_term()
         heads.append((lm, lc, g))
     work = dict(f.terms)
     while True:
-        target = None
-        for mono in work:
-            if any(mono_divides(lm, mono) for lm, _, _ in heads):
-                if target is None or order.compare(mono, target) > 0:
-                    target = mono
-        if target is None:
+        reducible = [m for m in work if any(mono_divides(lm, m) for lm, _, _ in heads)]
+        if not reducible:
             break
+        target = max(reducible, key=deglex_key)
         for lm, lc, g in heads:
             if mono_divides(lm, target):
                 u = mono_div(target, lm)

@@ -15,7 +15,13 @@ division.  Both facts are relied on downstream and checked in the tests.
 The scan runs on integer kernel rows (see ``linalg``): rational points are
 scaled once to integers by their common denominator D, which scales a
 monomial of degree d by D^d, and that factor is undone when a basis
-polynomial is built.
+polynomial or an indicator expansion is built.
+
+The indicator expansions come from the scan's own echelon rows, one per
+standard monomial: back-substituted, on first use, until each row is zero
+at every pivot point but its own, a row holds a multiple of its pivot
+point's indicator function over the standard monomials.  No second
+elimination is run.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from __future__ import annotations
 import heapq
 
 from .errors import InvariantError
-from .linalg import PointSet, _IntKernel, rref
-from .polyring import DEGLEX, Polynomial, mono_deg, mono_divides, mono_one, reduce_poly
+from .linalg import PointSet, _IntKernel
+from .polyring import Polynomial, deglex_key, mono_deg, mono_divides, mono_one, reduce_poly
 
 
 def _mono_value(mono, point):
@@ -56,15 +62,20 @@ class IndicatorExpansion:
 
 
 class GroebnerData:
-    """Reduced deglex basis of a vanishing ideal plus its standard monomials."""
+    """Reduced deglex basis of a vanishing ideal plus its standard monomials.
 
-    __slots__ = ("source", "order", "basis", "sm", "_inverse")
+    Built by ``buchberger_moller``, which hands over its echelon rows and
+    the scale of its integer points for the indicator expansions.
+    """
 
-    def __init__(self, source: PointSet, basis, sm):
+    __slots__ = ("source", "basis", "sm", "_rows", "_scale", "_inverse")
+
+    def __init__(self, source: PointSet, basis, sm, rows, scale):
         self.source = source
-        self.order = DEGLEX
         self.basis = tuple(basis)
         self.sm = tuple(sm)
+        self._rows = rows
+        self._scale = scale
         self._inverse = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -73,43 +84,40 @@ class GroebnerData:
             raise TypeError(f"field mismatch: {f.field!r} vs {self.source.field!r}")
         if f.nvars != self.source.dim:
             raise ValueError("variable count does not match the ambient dimension")
-        return reduce_poly(f, self.basis, self.order)
+        return reduce_poly(f, self.basis)
 
     def _indicator_matrix_inverse(self):
-        # columns of the inverse evaluation matrix are the indicator
-        # expansions; computed once, reused for every point
+        # the scan's echelon rows, back-substituted until each is zero at
+        # every pivot but its own, hold pivot * (the pivot point's indicator
+        # over the standard monomials evaluated on scale * V); computed once,
+        # indexed by point.  A row shorter than the others has zeros past its
+        # end, and so has its expansion.
         if self._inverse is None:
-            field = self.source.field
-            points, scale = _IntKernel(field).int_points(self.source.points)
-            npts = len(points)
-            rows = []
-            for j, p in enumerate(points):
-                row = [_mono_value(m, p) for m in self.sm]
-                row.extend(1 if i == j else 0 for i in range(npts))
-                rows.append(row)
-            # one field scalar per distinct value keeps the |V| x 2|V| matrix
-            # from holding an object per entry
-            scalar = {x: field.from_int(x) for x in set().union(*rows)}
-            rank, reduced, _ = rref([[scalar[x] for x in row] for row in rows])
-            if rank != npts:
-                raise InvariantError("evaluation matrix of standard monomials is singular")
-            # this inverts the evaluation matrix on scale * V; back on V, the
-            # row of a degree-d monomial takes a factor scale^d
-            self._inverse = tuple(
-                row[npts:] if scale == 1 else tuple(x * scale ** mono_deg(m) for x in row[npts:])
-                for m, row in zip(self.sm, reduced)
-            )
+            kernel = _IntKernel(self.source.field)
+            rows = self._rows
+            for r in range(len(rows) - 1, 0, -1):
+                pivot, prow = rows[r]
+                for i in range(r):
+                    own, row = rows[i]
+                    if row[pivot]:
+                        rows[i] = own, kernel.eliminate(row, prow, pivot)
+            npts = len(rows)
+            # back on V, the coefficient of a degree-d monomial takes a
+            # factor scale^d
+            factors = [self._scale ** mono_deg(m) for m in self.sm]
+            inverse = [None] * npts
+            for pivot, row in rows:
+                tail = [c * f for c, f in zip(row[npts:], factors)]
+                inverse[pivot] = kernel.scalars(tail, row[pivot])
+            self._inverse = tuple(inverse)
+            self._rows = None
         return self._inverse
 
     def indicator_expansion(self, point) -> IndicatorExpansion:
         """Expansion of the function that is 1 at the point, 0 at the others."""
         idx = self.source.index_of(point)
-        inv = self._indicator_matrix_inverse()
-        coeffs = {}
-        for i, mono in enumerate(self.sm):
-            c = inv[i][idx]
-            if c:
-                coeffs[mono] = c
+        inv = self._indicator_matrix_inverse()[idx]
+        coeffs = {mono: c for mono, c in zip(self.sm, inv) if c}
         return IndicatorExpansion(self.source.points[idx], coeffs)
 
     def separating_degree(self, point) -> int:
@@ -139,7 +147,7 @@ class GroebnerData:
                     if d not in sm_set:
                         raise InvariantError(f"standard monomials not divisor-closed at {m}")
         for g in self.basis:
-            lm, lc = g.leading_term(self.order)
+            lm, lc = g.leading_term()
             if lc != one:
                 raise InvariantError("basis element is not monic")
             if lm in sm_set:
@@ -202,7 +210,7 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         return Polynomial(field, nvars, {m: c for (m, _), c in zip(terms, coeffs)})
 
     start = mono_one(nvars)
-    heap = [(DEGLEX.key(start), start)]
+    heap = [(deglex_key(start), start)]
     seen = {start}
     while heap and len(sm) < npts:
         _, mono = heapq.heappop(heap)
@@ -220,7 +228,7 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
                 child = tuple(e + 1 if j == i else e for j, e in enumerate(mono))
                 if child not in seen:
                     seen.add(child)
-                    heapq.heappush(heap, (DEGLEX.key(child), child))
+                    heapq.heappush(heap, (deglex_key(child), child))
     if len(sm) != npts:
         raise InvariantError("monomial scan terminated before spanning the point set")
     # once |sm| = |V| the standard monomials span all functions on the set,
@@ -234,22 +242,4 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
             raise InvariantError("independent monomial found beyond a spanning set")
         basis.append(basis_polynomial(mono, row))
         lms.append(mono)
-    return GroebnerData(V, basis, sm)
-
-
-def standard_monomials(V: PointSet):
-    """Standard monomials of the vanishing ideal, in increasing deglex order."""
-    return list(buchberger_moller(V).sm)
-
-
-def indicator_expansion(data: GroebnerData, point) -> IndicatorExpansion:
-    return data.indicator_expansion(point)
-
-
-def normal_form(data: GroebnerData, f: Polynomial) -> Polynomial:
-    return data.normal_form(f)
-
-
-def separating_degree(V: PointSet, point) -> int:
-    """Least degree of a polynomial vanishing on V minus the point, nonzero there."""
-    return buchberger_moller(V).separating_degree(point)
+    return GroebnerData(V, basis, sm, rows, scale)

@@ -24,7 +24,7 @@ from .cover import ac_numbers, min_almost_cover, orbit_reduce, verify_cover
 from .families import FamilySpec, generate, sharp_cover_vnk, symmetry_generators, szw_sharp_polynomial
 from .fields import QQ
 from .linalg import PointSet
-from .polyring import DEGLEX, mono_deg
+from .polyring import deglex_key, mono_deg
 from .vanishing import buchberger_moller
 
 
@@ -74,7 +74,7 @@ def check_vnk_standard_monomials(max_n: int = 6):
             for size in range(k + 1):
                 for combo in itertools.combinations(range(n), size):
                     expected.append(tuple(1 if i in combo else 0 for i in range(n)))
-            expected.sort(key=DEGLEX.key)
+            expected.sort(key=deglex_key)
             ok = list(data.sm) == expected
             results.append(
                 _result(

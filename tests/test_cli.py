@@ -1,6 +1,7 @@
 import json
 
-from almostcover.cli import main
+from almostcover import cover
+from almostcover.cli import SCALE_NOTE, main
 
 CUBE2_FILE = "field rational\ndim 2\npoint 0 0\npoint 0 1\npoint 1 0\npoint 1 1\n"
 
@@ -148,6 +149,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_input_exit_code(capsys):
     code, _, err = run(capsys, "gb")
     assert code == 2
+
+
+def test_out_of_memory_exits_3_with_one_error_line(monkeypatch, capsys):
+    def exhausted(V):
+        raise MemoryError
+
+    monkeypatch.setattr(cover, "_flat_lattice", exhausted)
+    for argv in (("--point", "0"), ("--all",)):
+        code, out, err = run(capsys, "solve", "--family", "cube:3", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: out of memory. {SCALE_NOTE}"]
 
 
 def test_bad_family_exit_code(capsys):

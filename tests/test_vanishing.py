@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostcover.fields import GF, QQ
+from almostcover.families import FamilySpec, generate
+from almostcover.fields import GF, QQ, scalar_field
 from almostcover.linalg import PointSet, rref
-from almostcover.polyring import DEGLEX, Polynomial, mono_deg
-from almostcover.vanishing import buchberger_moller, separating_degree, standard_monomials
+from almostcover.polyring import Polynomial, deglex_key, mono_deg
+from almostcover.vanishing import buchberger_moller
 
 
 def qpoints(rows):
@@ -67,12 +68,14 @@ def test_full_square_all_squarefree():
 
 
 def test_standard_monomials_vnk31():
-    got = standard_monomials(vnk(3, 1))
-    assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    got = buchberger_moller(vnk(3, 1)).sm
+    assert got == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_single_point():
-    assert standard_monomials(qpoints([(5, 7)])) == [(0, 0)]
+    data = buchberger_moller(qpoints([(5, 7)]))
+    assert data.sm == ((0, 0),)
+    assert data.indicator_expansion((QQ.scalar(5), QQ.scalar(7))).coefficients == {(0, 0): 1}
 
 
 def test_vnkt_extra_monomial():
@@ -122,10 +125,10 @@ def test_normal_form_field_mismatch():
 
 
 def test_separating_degrees():
-    assert separating_degree(cube(3), tuple(QQ.scalar(1) for _ in range(3))) == 3
-    assert separating_degree(vnk(2, 1), (QQ.scalar(0), QQ.scalar(0))) == 1
+    assert buchberger_moller(cube(3)).separating_degree(tuple(QQ.scalar(1) for _ in range(3))) == 3
+    assert buchberger_moller(vnk(2, 1)).separating_degree((QQ.scalar(0), QQ.scalar(0))) == 1
     with pytest.raises(ValueError):
-        separating_degree(cube(2), (QQ.scalar(3), QQ.scalar(3)))
+        buchberger_moller(cube(2)).separating_degree((QQ.scalar(3), QQ.scalar(3)))
 
 
 def test_separating_degree_after_adding_vertex():
@@ -171,7 +174,7 @@ def test_groebner_invariants_on_gf_and_generic_sets():
     for V in sets:
         data = buchberger_moller(V)
         data.check_invariants()
-        assert list(data.sm) == sorted(data.sm, key=DEGLEX.key)
+        assert list(data.sm) == sorted(data.sm, key=deglex_key)
 
 
 def test_random_ideal_members_reduce_to_zero():
@@ -247,3 +250,55 @@ def test_groebner_degrees_invariant_under_fractional_affine_map(V, c, shift):
     assert [dv.separating_degree(p) for p in V.points] == [
         dw.separating_degree(q) for q in W.points
     ]
+
+
+def reference_indicator_expansions(data):
+    """Indicator coefficients over the standard monomials, point by point,
+    by plain row reduction of [E | I], E the evaluation matrix on V itself."""
+    field, n = data.source.field, len(data.source)
+    rows = [
+        row + [field.one() if i == j else field.zero() for i in range(n)]
+        for j, row in enumerate(evaluation_matrix(data))
+    ]
+    rank, reduced, _ = rref(rows)
+    assert rank == n
+    # row i of the inverse holds sm[i]'s coefficient in every indicator
+    return [{m: row[n + j] for m, row in zip(data.sm, reduced) if row[n + j]} for j in range(n)]
+
+
+def assert_indicators_match_reference(V):
+    data = buchberger_moller(V)
+    expected = reference_indicator_expansions(data)
+    for p, coeffs in zip(V.points, expected):
+        got = data.indicator_expansion(p).coefficients
+        assert got == coeffs
+        assert all(scalar_field(c) == V.field for c in got.values())
+
+
+# (field, coordinates, largest dimension): 0-1 sets take the bitmask path of
+# the scan; sets fill more than half their grid, up to 30 points, so that
+# back-substitution does real work
+ORACLE_GRIDS = [
+    (QQ, FRACTIONAL, 3),
+    (QQ, (0, 1), 5),
+    (GF(2), (0, 1), 5),
+    (GF(3), (0, 1, 2), 3),
+    (GF(5), tuple(range(5)), 3),
+    (MERSENNE, LARGE_RESIDUES, 2),
+]
+
+
+@pytest.mark.parametrize("field, coords, max_dim", ORACLE_GRIDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_indicator_expansions_match_evaluation_matrix_inverse(field, coords, max_dim, data):
+    dim = data.draw(st.integers(1, max_dim))
+    grid = list(itertools.product(coords, repeat=dim))
+    cap = min(30, len(grid))
+    rows = data.draw(st.permutations(grid))[: data.draw(st.integers(cap // 2 + 1, cap))]
+    assert_indicators_match_reference(PointSet(field, dim, rows))
+
+
+@pytest.mark.parametrize("desc, field", [("cube:4", GF(3)), ("ag:2:5", None)])
+def test_indicator_expansions_match_evaluation_matrix_inverse_on_families(desc, field):
+    assert_indicators_match_reference(generate(FamilySpec.parse(desc, field)))
