@@ -173,6 +173,10 @@ def cmd_solve(args) -> int:
     V, spec, source = _load_input(args)
     if args.budget < 0:
         raise ValueError(f"--budget must be 0 (unlimited) or positive, got {args.budget}")
+    if args.all and args.point is not None:
+        raise ValueError("choose --point IDX or --all, not both")
+    if args.symmetry and not args.all:
+        raise ValueError("--symmetry applies only to --all")
     budget = args.budget or None
     lines = [f"point set: {len(V)} points, dim {V.dim}, field {V.field.name}"]
     warning = None
@@ -231,6 +235,8 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r} (choose from {', '.join(SUITES)})")
     checks = run_suite(args.suite, max_n=args.max_n)
+    if not checks:
+        raise ValueError(f"--max-n {args.max_n} leaves suite {args.suite} with no checks")
     results = {
         "suite": args.suite,
         "checks": [

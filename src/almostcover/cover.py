@@ -23,7 +23,6 @@ hyperplane directly and serves as a cross-check of the closed-set mode.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InvariantError
@@ -107,32 +106,29 @@ def _indices(mask):
 
 
 def _flat_lattice(V: PointSet):
-    """Every proper flat of V, each with the points it is a maximal trace for.
+    """Every flat of V that is a maximal trace, with the points it is one for.
 
     A flat is an affinely closed subset of V (it equals the meet of its own
-    span with V); proper means not all of V.  Flats are bitmasks over the
-    point indices.  A flat F is a maximal closed set avoiding v exactly when
-    v is outside F but inside every one-point extension closure of F, so
-    each flat is stored as (F, meet of its extension closures minus F).
+    span with V), as a bitmask over the point indices.  A flat F is a
+    maximal closed set avoiding v exactly when v is outside F but inside
+    every one-point extension closure of F, so F is stored as (F, meet of
+    its extension closures minus F) when that mask is nonzero.
 
-    Breadth-first closure enumeration: start from singletons and extend one
-    point at a time.  Each node keeps, for every point outside it, the
-    residual of (point - base) against the node's echelonized direction
-    rows, as an integer kernel row (see ``linalg``): a residual is known
-    only up to a nonzero factor, which neither the parallelism test nor the
-    propagation needs.  An extension's closure is read off by the
-    cross-multiplied parallelism test and the residuals propagate in
-    O(|V| n) per extension.  A node's residuals are dropped once it has
-    been expanded.
+    Depth-first closure enumeration from the singletons.  A flat on the
+    stack keeps, for every point outside it, the residual of (point - base)
+    against its path's echelon rows as a kernel ``direction`` (see
+    ``linalg``).  Points share an extension closure exactly when their
+    residuals are parallel, that is equal, so one dict pass finds every
+    extension; residuals then propagate in O(|V| n) per extension.
     """
     kernel = _IntKernel(V.field)
-    normalize = kernel.normalize
+    direction = kernel.direction
     pts, _ = kernel.int_points(V.points)
     m = len(pts)
     full = (1 << m) - 1
     lattice = []
     seen = set()
-    queue = deque()
+    stack = []
     for j in range(m):
         key = 1 << j
         if key == full:
@@ -141,47 +137,32 @@ def _flat_lattice(V: PointSet):
         res = [None] * m
         for w in range(m):
             if w != j:
-                res[w] = normalize([a - b for a, b in zip(pts[w], base)])
+                res[w] = direction([a - b for a, b in zip(pts[w], base)])
         seen.add(key)
-        queue.append((key, res))
-    while queue:
-        key, res = queue.popleft()
+        stack.append((key, res))
+    while stack:
+        key, res = stack.pop()
+        extensions = {}
+        for w, rw in enumerate(res):
+            if rw is not None:
+                extensions[rw] = extensions.get(rw, 0) | 1 << w
         common = full
-        absorbed = key
-        for u in range(m):
-            if absorbed >> u & 1:
-                continue
-            r = res[u]
-            pivot = next(i for i, x in enumerate(r) if x)
-            rp = r[pivot]
-            # extension closures partition the points outside the flat, so
-            # every earlier point outside it is already absorbed
-            joins = 0
-            for w in range(u, m):
-                rw = res[w]
-                if rw is None:
-                    continue
-                lam = rw[pivot]
-                # rw is parallel to r exactly when the cross-multiplied
-                # difference vanishes; written out rather than calling
-                # kernel.eliminate, which makes cube:5's build 10-20% slower
-                # on these short rows
-                if lam and not any(normalize([a * rp - lam * b for a, b in zip(rw, r)])):
-                    joins |= 1 << w
-            absorbed |= joins
+        for r, joins in extensions.items():
             closure = key | joins
             common &= closure
             if closure != full and closure not in seen:
                 seen.add(closure)
+                pivot = next(i for i, x in enumerate(r) if x)
+                rp = r[pivot]
                 new_res = [None] * m
-                for w in range(m):
-                    rw = res[w]
+                for w, rw in enumerate(res):
                     if rw is None or joins >> w & 1:
                         continue
                     lam = rw[pivot]
-                    new_res[w] = normalize([a * rp - lam * b for a, b in zip(rw, r)]) if lam else rw
-                queue.append((closure, new_res))
-        lattice.append((key, common & ~key))
+                    new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)]) if lam else rw
+                stack.append((closure, new_res))
+        if common & ~key:
+            lattice.append((key, common & ~key))
     return lattice
 
 

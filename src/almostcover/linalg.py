@@ -8,9 +8,9 @@ is one, making every representation unique and reproducible.
 The hot loops (``rref`` here, Buchberger-Moeller in ``vanishing`` and the
 flat lattice in ``cover``) run on ``_IntKernel`` rows of plain ints: over
 the rationals a row is scaled to integers and kept free of common factors,
-over GF(p) it holds residues.  Field scalars are rebuilt only on the way
-out.  Spans, hyperplanes and maps stay on field scalars, so they check the
-kernel independently.
+over GF(p) it holds residues, and the lattice keeps rows as canonical
+directions.  Field scalars are rebuilt only on the way out; spans,
+hyperplanes and maps stay on them and so check the kernel independently.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class _IntKernel:
     factor and ``normalize`` keeps it primitive; over GF(p) it holds
     residues and ``normalize`` reduces them mod p.  Rows are combined by
     cross-multiplication (``eliminate``), which needs no division in either
-    field; zero tests and pivots read the same in both.
+    field; zero tests, pivots and parallelism (``direction``) read the same.
     """
 
     __slots__ = ("field", "normalize")
@@ -67,6 +67,22 @@ class _IntKernel:
         """
         pv, f = prow[c], row[c]
         return self.normalize([pv * a - f * b for a, b in zip_longest(row, prow, fillvalue=0)])
+
+    def direction(self, row) -> tuple:
+        """The multiple of a nonzero row shared by exactly the rows parallel to it.
+
+        Over the rationals it is primitive with a positive first nonzero
+        entry; over GF(p) it is reduced mod p with first nonzero entry 1.
+        """
+        p = self.field.p
+        if p is None:
+            g = gcd(*row)
+            if next(x for x in row if x) < 0:
+                g = -g
+            return tuple(x // g for x in row)
+        row = [x % p for x in row]
+        inv = pow(next(x for x in row if x), -1, p)
+        return tuple(x * inv % p for x in row)
 
     def ints(self, values):
         """(row, scale): the ints scale * values, scale the lcm of the denominators."""

@@ -197,6 +197,20 @@ def test_verify_json(capsys):
     assert all(c["passed"] for c in doc["results"]["checks"])
 
 
+def test_verify_selecting_no_checks_is_a_usage_error(capsys):
+    for argv in (("main", "--max-n", "0"), ("szw", "--max-n", "-1"), ("main2", "--max-n", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_solve_rejects_flags_it_would_ignore(capsys):
+    for argv in (("--all", "--point", "0"), ("--point", "0", "--symmetry")):
+        code, out, err = run(capsys, "solve", "--family", "cube:2", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

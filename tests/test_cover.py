@@ -10,6 +10,7 @@ from almostcover.cover import (
     hyperplane_trace_family,
     min_almost_cover,
     orbit_reduce,
+    realize_trace,
     trace_family,
     verify_cover,
 )
@@ -290,6 +291,35 @@ def test_closed_traces_match_hyperplane_traces_gf3(rows):
     V = PointSet.from_ints(GF(3), rows)
     for v in V.points:
         assert trace_family(V, v).traces == hyperplane_trace_family(V, v).traces
+
+
+@st.composite
+def oracle_point_sets(draw):
+    field = draw(st.sampled_from((QQ, GF(5), MERSENNE)))
+    coords = {QQ: FRACTIONAL, MERSENNE: LARGE_RESIDUES}.get(field, range(5))
+    dim = draw(st.integers(2, 3))
+    grid = list(itertools.product(coords, repeat=dim))
+    # 16 points in dim 3 can have thousands of traces, too slow to check
+    size = 16 if dim == 2 else 10
+    rows = draw(st.lists(st.sampled_from(grid), min_size=2, max_size=size, unique=True))
+    return PointSet(field, dim, rows)
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_point_sets())
+def test_every_trace_is_a_maximal_hyperplane_trace(V):
+    # checked through spans and hyperplanes on field scalars, which share no
+    # code with the lattice, on sets past the naive oracle's reach
+    for v in V.points:
+        for trace in trace_family(V, v).traces:
+            H = realize_trace(V, v, trace)
+            assert not H.contains(v)
+            assert tuple(j for j, p in enumerate(V.points) if H.contains(p)) == trace
+            # maximal: v lies in the span of T and any other point u.  As
+            # neither u nor v is in span(T), that holds exactly when u lies
+            # in span(T + v), which takes one span per trace
+            span = affine_span(as_points(V, trace) + [v])
+            assert all(span.contains(p) for p in V.points)
 
 
 def test_hyperplane_enumeration_counts():

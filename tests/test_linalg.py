@@ -10,6 +10,7 @@ from almostcover.linalg import (
     PointSet,
     affine_span,
     hyperplane_containing_avoiding,
+    _IntKernel,
     rref,
 )
 
@@ -125,6 +126,18 @@ def test_rref_idempotent(raw):
     rank2, rows2, _ = rref(rows)
     assert rows2 == rows
     assert rank2 == sum(1 for r in rows if any(r))
+
+
+def test_kernel_direction_is_equal_exactly_for_parallel_rows():
+    q = _IntKernel(QQ).direction
+    assert q([0, 4, -6]) == q([0, -2, 3]) == q([0, 10, -15]) == (0, 2, -3)
+    assert q([-3, 0]) == q([5, 0]) == (1, 0)
+    assert q([1, 2]) != q([1, -2])
+    g7 = _IntKernel(GF(7)).direction
+    assert g7([3, 1]) == g7([6, 2]) == g7([-4, 15]) == (1, 5)
+    assert g7([1, 1]) != g7([1, 2])
+    # the lead is the first entry nonzero mod p, not the first nonzero int
+    assert _IntKernel(GF(3)).direction([-3, 1]) == (0, 1)
 
 
 def test_pointset_validation():
