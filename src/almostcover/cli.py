@@ -117,8 +117,11 @@ def cmd_gb(args) -> int:
 def cmd_bound(args) -> int:
     started = time.perf_counter()
     V, _, source = _load_input(args)
-    if args.point is not None and not 0 <= args.point < len(V):
-        raise ValueError(f"point index {args.point} out of range (0..{len(V) - 1})")
+    if args.point is not None:
+        if args.method in ("count", "cube"):
+            raise ValueError(f"--point applies only to --method cert or all, not {args.method}")
+        if not 0 <= args.point < len(V):
+            raise ValueError(f"point index {args.point} out of range (0..{len(V) - 1})")
     results = {}
     lines = [f"point set: {len(V)} points, dim {V.dim}, field {V.field.name}"]
     if args.method != "all":

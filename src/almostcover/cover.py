@@ -24,6 +24,7 @@ hyperplane directly and serves as a cross-check of the closed-set mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from heapq import nlargest
 
 from .errors import InvariantError
 from .linalg import (
@@ -55,19 +56,24 @@ __all__ = [
 class TraceFamily:
     """Maximal candidate traces for covering V minus one excluded point.
 
-    Traces are tuples of point indices into the source set, sorted
-    ascending, and the family itself is sorted by those tuples.  In
-    exhaustive mode each trace carries the hyperplane that produced it.
+    ``masks`` holds the traces as bitmasks over the source set's point
+    indices, and ``traces`` the same traces as ascending index tuples; the
+    family is sorted by those tuples.  In exhaustive mode each trace
+    carries the hyperplane that produced it.
     """
 
     source: PointSet
     excluded_index: int
-    traces: tuple
+    masks: tuple
     hyperplanes: tuple | None = None
 
     @property
     def excluded(self):
         return self.source.points[self.excluded_index]
+
+    @property
+    def traces(self):
+        return tuple(_indices(mask) for mask in self.masks)
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,17 @@ class ACNumbers:
 def _indices(mask):
     """Point indices of a bitmask, ascending."""
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _sorted_by_indices(masks, width):
+    """Masks over ``width`` points, none inside another, by ascending index tuple.
+
+    Where two such masks first differ, the one holding that point comes
+    first: the other one holds a later point, or it would lie inside the
+    first.  So the order is that of the bit-reversed masks, descending.
+    """
+    bits = f"0{width}b"
+    return tuple(sorted(masks, key=lambda mask: format(mask, bits)[::-1], reverse=True))
 
 
 def _flat_lattice(V: PointSet):
@@ -175,8 +192,8 @@ def trace_family(V: PointSet, point, _lattice=None) -> TraceFamily:
     v_idx = V.index_of(point)
     lattice = _flat_lattice(V) if _lattice is None else _lattice
     bit = 1 << v_idx
-    traces = sorted(_indices(flat) for flat, maximal_for in lattice if maximal_for & bit)
-    return TraceFamily(source=V, excluded_index=v_idx, traces=tuple(traces))
+    masks = _sorted_by_indices((flat for flat, maximal_for in lattice if maximal_for & bit), len(V))
+    return TraceFamily(source=V, excluded_index=v_idx, masks=masks)
 
 
 def _hyperplane_traces(V: PointSet):
@@ -235,31 +252,44 @@ def hyperplane_trace_family(V: PointSet, point, _table=None) -> TraceFamily:
     for mask in candidates:
         if not any(mask & k == mask for k in kept):
             kept.append(mask)
-    kept = sorted((_indices(mask), table[mask]) for mask in kept)
+    masks = _sorted_by_indices(kept, len(V))
     return TraceFamily(
         source=V,
         excluded_index=v_idx,
-        traces=tuple(t for t, _ in kept),
-        hyperplanes=tuple(H for _, H in kept),
+        masks=masks,
+        hyperplanes=tuple(table[mask] for mask in masks),
     )
 
 
 def _min_cover_over_masks(masks, nelements, floor, budget):
     """Exact minimum set cover over bitmasks by branch and bound.
 
-    Branches on a least-covered uncovered element, trying its traces in
-    decreasing size; prunes with the uncovered/max-trace-size ratio and
-    stops early when the certificate floor is attained.  Returns
+    A greedy cover is the first upper bound.  When it meets the certificate
+    floor it is optimal, and the branching tables are never built.
+    Otherwise the search branches on an uncovered element with the fewest
+    owning traces (the lowest such element), tries its traces by decreasing
+    size (lowest index on ties), and stops once the floor is attained.
+
+    Each node receives ``live``, a dict from the traces still allowed there
+    to their masks.  Two exact prunings keep the tree small:
+
+      * top-t bound: at depth d with best size b, only t = b - d - 1 more
+        traces can beat b, so a node whose t largest live traces, cut down
+        to its uncovered set U, cover fewer than |U| elements is cut.  It
+        is checked on entry and again after each branch, as b falls and
+        ``live`` shrinks;
+      * sibling exclusion: once a trace's branch is fully searched, the
+        trace leaves the node's ``live``, so its later branches never use
+        it.  Every cover below the node holds a first trace, in try order,
+        covering the branching element, and is searched in that branch.
+
+    A node that passes the bound keeps the live traces that meet U, each
+    cut down to U, so "banned" and "adds nothing" are one dict lookup.
+    Neither pruning removes the first optimal cover in search order, so the
+    answer is the one the unpruned search gives.  Returns
     (chosen index list, optimal, nodes).
     """
     full = (1 << nelements) - 1
-    sizes = [mask.bit_count() for mask in masks]
-    cover_lists = []
-    for e in range(nelements):
-        owners = [i for i, mask in enumerate(masks) if mask >> e & 1]
-        owners.sort(key=lambda i: (-sizes[i], i))
-        cover_lists.append(owners)
-
     chosen = []
     cov = 0
     while cov != full:
@@ -277,51 +307,49 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
     if best_size <= floor:
         return best, True, 0
 
+    sizes = [mask.bit_count() for mask in masks]
+    cover_lists = []
+    for e in range(nelements):
+        owners = [i for i, mask in enumerate(masks) if mask >> e & 1]
+        owners.sort(key=lambda i: (-sizes[i], i))
+        cover_lists.append(owners)
+    branch_order = sorted(range(nelements), key=lambda e: (len(cover_lists[e]), e))
+
     state = {"nodes": 0, "aborted": False, "best": best, "best_size": best_size}
 
-    def dfs(cov, stack):
+    def hopeless(uncovered, cut_sizes, depth):
+        t = state["best_size"] - depth - 1
+        return t <= 0 or sum(nlargest(t, cut_sizes)) < uncovered.bit_count()
+
+    def dfs(uncovered, live, stack):
         state["nodes"] += 1
         if budget is not None and state["nodes"] > budget:
             state["aborted"] = True
             return True
-        if cov == full:
+        if not uncovered:
             if len(stack) < state["best_size"]:
                 state["best"] = sorted(stack)
                 state["best_size"] = len(stack)
             return state["best_size"] <= floor
         depth = len(stack)
-        if depth + 1 >= state["best_size"]:
+        if hopeless(uncovered, [(mask & uncovered).bit_count() for mask in live.values()], depth):
             return False
-        rem_mask = full & ~cov
-        rem = rem_mask.bit_count()
-        maxcov = 0
-        for mask in masks:
-            c = (mask & rem_mask).bit_count()
-            if c > maxcov:
-                maxcov = c
-        if maxcov == 0 or depth + -(-rem // maxcov) >= state["best_size"]:
-            return False
-        pick, pick_freq = None, None
-        scan = rem_mask
-        while scan:
-            e = (scan & -scan).bit_length() - 1
-            freq = len(cover_lists[e])
-            if pick_freq is None or freq < pick_freq:
-                pick, pick_freq = e, freq
-            scan &= scan - 1
+        live = {i: cut for i, mask in live.items() if (cut := mask & uncovered)}
+        pick = next(e for e in branch_order if uncovered >> e & 1)
         for i in cover_lists[pick]:
-            if masks[i] & cov == masks[i]:
+            if i not in live:
                 continue
+            rest = uncovered & ~live.pop(i)
             stack.append(i)
-            done = dfs(cov | masks[i], stack)
+            done = dfs(rest, live, stack)
             stack.pop()
             if done:
                 return True
-            if depth + 1 >= state["best_size"]:
-                break
+            if hopeless(uncovered, map(int.bit_count, live.values()), depth):
+                return False
         return False
 
-    dfs(0, [])
+    dfs(full, dict(enumerate(masks)), [])
     optimal = not state["aborted"] or state["best_size"] <= floor
     return state["best"], optimal, state["nodes"]
 
@@ -345,8 +373,7 @@ def _solve_point(V: PointSet, v_idx, budget, mode, shared=None, data=None) -> Co
     when not given.
     """
     v_pt = V.points[v_idx]
-    others = [j for j in range(len(V)) if j != v_idx]
-    if not others:
+    if len(V) == 1:
         return CoverSolution(
             excluded=v_pt, size=0, hyperplanes=(), lower_bound_used=0, optimal=True
         )
@@ -359,18 +386,20 @@ def _solve_point(V: PointSet, v_idx, budget, mode, shared=None, data=None) -> Co
     if data is None:
         data = buchberger_moller(V)
     floor = data.separating_degree(v_pt)
-    position = {j: i for i, j in enumerate(others)}
-    masks = [sum(1 << position[j] for j in t) for t in family.traces]
+    # the search runs over V minus v, so drop v's bit from every trace
+    nelements = len(V) - 1
+    low = (1 << v_idx) - 1
+    masks = [mask & low | mask >> 1 & ~low for mask in family.masks]
     union = 0
     for mask in masks:
         union |= mask
-    if union != (1 << len(others)) - 1:
+    if union != (1 << nelements) - 1:
         raise InvariantError("trace family does not cover the remaining points")
-    chosen, optimal, nodes = _min_cover_over_masks(masks, len(others), floor, budget)
+    chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, budget)
     if family.hyperplanes is not None:
         witnesses = tuple(family.hyperplanes[i] for i in chosen)
     else:
-        witnesses = tuple(realize_trace(V, v_pt, family.traces[i]) for i in chosen)
+        witnesses = tuple(realize_trace(V, v_pt, _indices(family.masks[i])) for i in chosen)
     if not verify_cover(V, v_pt, witnesses):
         raise InvariantError("solver produced an invalid cover")
     if optimal and len(chosen) < floor:

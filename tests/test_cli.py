@@ -253,3 +253,147 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
         code, out, err = run(capsys, "solve", str(path), *extra, "--budget", "-5")
         assert code == 2 and out == ""
         assert "--budget" in err
+
+
+# Three random 24-point planar sets whose search needs the most nodes when
+# pruned by the largest-trace ratio alone (224,319, 186,111 and 136,666).
+# Their reports come from that search; pruning harder must not change the
+# optimum or the witness cover it picks.
+HARD_SETS = (
+    (
+        (
+            (3, 0), (4, 6), (0, 7), (4, 4), (8, 2), (2, 7), (7, 8), (5, 8), (6, 0), (8, 3), (8, 5), (1, 4),
+            (1, 3), (3, 3), (5, 6), (3, 6), (7, 7), (6, 6), (5, 0), (5, 3), (8, 6), (4, 0), (8, 7), (1, 6),
+        ),
+        """\
+{
+  "schema": 1,
+  "command": "solve",
+  "input": {
+    "file": @FILE@
+  },
+  "field": "rational",
+  "dim": 2,
+  "results": {
+    "excluded": [
+      "3",
+      "0"
+    ],
+    "size": "8",
+    "hyperplanes": [
+      "x1 = 4",
+      "x1 - 3/2*x2 = -5",
+      "x2 = 6",
+      "x1 + 1/6*x2 = 5",
+      "x2 = 7",
+      "x1 + 1/2*x2 = 9",
+      "x1 - 2/5*x2 = 6",
+      "x2 = 3"
+    ],
+    "lower_bound_used": "6",
+    "optimal": true
+  },
+  "optimal": true
+}
+""",
+    ),
+    (
+        (
+            (2, 0), (5, 3), (0, 0), (4, 5), (5, 8), (3, 1), (4, 4), (0, 8), (3, 5), (7, 1), (2, 8), (7, 2),
+            (8, 6), (2, 3), (3, 8), (2, 4), (7, 0), (1, 1), (8, 7), (6, 8), (4, 2), (3, 3), (2, 2), (4, 1),
+        ),
+        """\
+{
+  "schema": 1,
+  "command": "solve",
+  "input": {
+    "file": @FILE@
+  },
+  "field": "rational",
+  "dim": 2,
+  "results": {
+    "excluded": [
+      "2",
+      "0"
+    ],
+    "size": "8",
+    "hyperplanes": [
+      "x1 + x2 = 8",
+      "x1 + 2/3*x2 = 7",
+      "x1 - x2 = 0",
+      "x1 = 4",
+      "x1 - 2*x2 = -6",
+      "x2 = 8",
+      "x1 - 4*x2 = -1",
+      "x1 - 2*x2 = -4"
+    ],
+    "lower_bound_used": "6",
+    "optimal": true
+  },
+  "optimal": true
+}
+""",
+    ),
+    (
+        (
+            (4, 5), (0, 4), (4, 2), (0, 0), (1, 8), (8, 8), (8, 6), (2, 3), (4, 1), (2, 7), (3, 3), (4, 0),
+            (6, 8), (7, 2), (1, 2), (1, 4), (8, 2), (8, 3), (8, 7), (5, 6), (1, 5), (0, 3), (3, 7), (5, 1),
+        ),
+        """\
+{
+  "schema": 1,
+  "command": "solve",
+  "input": {
+    "file": @FILE@
+  },
+  "field": "rational",
+  "dim": 2,
+  "results": {
+    "excluded": [
+      "4",
+      "5"
+    ],
+    "size": "8",
+    "hyperplanes": [
+      "x1 = 0",
+      "x1 + x2 = 6",
+      "x1 = 1",
+      "x1 + 2*x2 = 17",
+      "x1 = 8",
+      "x1 + x2 = 5",
+      "x1 + 2/7*x2 = 4",
+      "x1 + 1/6*x2 = 22/3"
+    ],
+    "lower_bound_used": "6",
+    "optimal": true
+  },
+  "optimal": true
+}
+""",
+    ),
+)
+
+
+def test_hardest_random_sets_keep_their_witness_covers(tmp_path, capsys):
+    for k, (points, report) in enumerate(HARD_SETS):
+        path = tmp_path / f"hard{k}.txt"
+        path.write_text(
+            "field rational\ndim 2\n" + "".join(f"point {x} {y}\n" for x, y in points)
+        )
+        code, out, _ = run(capsys, "solve", str(path), "--point", "0", "--json", "--no-timings")
+        assert code == 0
+        assert out == report.replace("@FILE@", json.dumps(str(path)))
+
+
+def test_bound_point_needs_a_per_point_method(capsys):
+    for method in ("count", "cube"):
+        code, out, err = run(capsys, "bound", "--family", "cube:4", "--method", method, "--point", "3")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+    for method in ("cert", "all"):
+        code, out, _ = run(
+            capsys, "bound", "--family", "cube:4", "--method", method, "--point", "3",
+            "--json", "--no-timings",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["certificate"]["certificate_point"] == ["0", "0", "1", "1"]

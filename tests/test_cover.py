@@ -40,15 +40,20 @@ def brute_force_size(V, v):
         return 0
     pos = {j: i for i, j in enumerate(others)}
     masks = [sum(1 << pos[j] for j in t) for t in fam.traces]
-    full = (1 << len(others)) - 1
-    for size in range(len(masks) + 1):
-        for combo in itertools.combinations(range(len(masks)), size):
+    return combinations_minimum(masks, len(others))
+
+
+def combinations_minimum(masks, nelements):
+    """Fewest masks whose union is every element, by trying all combinations."""
+    full = (1 << nelements) - 1
+    for size in range(1, len(masks) + 1):
+        for combo in itertools.combinations(masks, size):
             union = 0
-            for i in combo:
-                union |= masks[i]
+            for mask in combo:
+                union |= mask
             if union == full:
                 return size
-    raise AssertionError("trace family failed to cover")
+    raise AssertionError("masks do not cover")
 
 
 def test_trace_family_cube2():
@@ -163,6 +168,129 @@ def test_exhaustive_mode_matches_closed_mode():
 def test_exhaustive_mode_needs_finite_field():
     with pytest.raises(ValueError):
         hyperplane_trace_family(cube(2), (QQ.scalar(0), QQ.scalar(0)))
+
+
+def reference_min_cover(masks, nelements, floor, budget):
+    """Branch and bound pruned by the largest-trace ratio alone, the oracle
+    for ``_min_cover_over_masks``.
+
+    Same greedy seed, branching element and try order, but no top-t bound
+    and no sibling exclusion, so it must find the same cover in no fewer
+    nodes.
+    """
+    full = (1 << nelements) - 1
+    sizes = [mask.bit_count() for mask in masks]
+    cover_lists = []
+    for e in range(nelements):
+        owners = [i for i, mask in enumerate(masks) if mask >> e & 1]
+        owners.sort(key=lambda i: (-sizes[i], i))
+        cover_lists.append(owners)
+
+    chosen = []
+    cov = 0
+    while cov != full:
+        best_i, best_gain = None, 0
+        for i, mask in enumerate(masks):
+            gain = (mask & ~cov).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        chosen.append(best_i)
+        cov |= masks[best_i]
+    best = sorted(chosen)
+    best_size = len(best)
+    if best_size <= floor:
+        return best, True, 0
+
+    state = {"nodes": 0, "aborted": False, "best": best, "best_size": best_size}
+
+    def dfs(cov, stack):
+        state["nodes"] += 1
+        if budget is not None and state["nodes"] > budget:
+            state["aborted"] = True
+            return True
+        if cov == full:
+            if len(stack) < state["best_size"]:
+                state["best"] = sorted(stack)
+                state["best_size"] = len(stack)
+            return state["best_size"] <= floor
+        depth = len(stack)
+        if depth + 1 >= state["best_size"]:
+            return False
+        rem_mask = full & ~cov
+        rem = rem_mask.bit_count()
+        maxcov = 0
+        for mask in masks:
+            c = (mask & rem_mask).bit_count()
+            if c > maxcov:
+                maxcov = c
+        if maxcov == 0 or depth + -(-rem // maxcov) >= state["best_size"]:
+            return False
+        pick, pick_freq = None, None
+        scan = rem_mask
+        while scan:
+            e = (scan & -scan).bit_length() - 1
+            freq = len(cover_lists[e])
+            if pick_freq is None or freq < pick_freq:
+                pick, pick_freq = e, freq
+            scan &= scan - 1
+        for i in cover_lists[pick]:
+            if masks[i] & cov == masks[i]:
+                continue
+            stack.append(i)
+            done = dfs(cov | masks[i], stack)
+            stack.pop()
+            if done:
+                return True
+            if depth + 1 >= state["best_size"]:
+                break
+        return False
+
+    dfs(0, [])
+    optimal = not state["aborted"] or state["best_size"] <= floor
+    return state["best"], optimal, state["nodes"]
+
+
+@st.composite
+def covering_masks(draw):
+    nelements = draw(st.integers(3, 14))
+    full = (1 << nelements) - 1
+    masks = draw(st.lists(st.integers(1, full), min_size=2, max_size=24))
+    union = 0
+    for mask in masks:
+        union |= mask
+    # the last mask takes whatever the others miss, so the family covers
+    masks[-1] |= full & ~union
+    return masks, nelements
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_masks(), st.data())
+def test_search_matches_reference_and_brute_force(family, data):
+    masks, nelements = family
+    minimum = combinations_minimum(masks, nelements)
+    floor = data.draw(st.integers(0, minimum), label="floor")
+    chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, None)
+    ref_chosen, ref_optimal, ref_nodes = reference_min_cover(masks, nelements, floor, None)
+    assert (chosen, optimal) == (ref_chosen, ref_optimal)
+    assert nodes <= ref_nodes
+    assert optimal and len(chosen) == minimum
+
+
+def test_top_t_bound_proves_greedy_optimal_at_the_root():
+    # greedy needs all three; the two largest cover only 5 of 6 elements,
+    # which the root's top-t bound sees and the largest-trace ratio does not
+    masks = [0b001111, 0b010000, 0b100000]
+    assert reference_min_cover(masks, 6, 0, None)[2] > 1
+    for budget in (None, 1):
+        assert _min_cover_over_masks(masks, 6, 0, budget) == ([0, 1, 2], True, 1)
+
+
+def test_sibling_exclusion_skips_searched_traces():
+    # the root branches on element 0 over traces 2, then 4.  Below trace 4
+    # the search branches on element 3, whose traces are 2 and 3; trace 2's
+    # branch is already searched, so only trace 3 is tried: 4 nodes, not 5
+    masks = [0b00110, 0b10100, 0b01101, 0b11100, 0b00111]
+    assert _min_cover_over_masks(masks, 5, 0, None) == ([3, 4], True, 4)
 
 
 def test_branch_and_bound_beats_greedy():
