@@ -47,7 +47,7 @@ from .linalg import (
 )
 from .pointfile import load_pointset, parse_pointset, write_pointset
 from .polyring import Polynomial, deglex_key, reduce_poly
-from .vanishing import GroebnerData, IndicatorExpansion, buchberger_moller
+from .vanishing import GroebnerData, buchberger_moller
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "GFElement",
     "GroebnerData",
     "Hyperplane",
-    "IndicatorExpansion",
     "InvariantError",
     "ParseError",
     "PointSet",

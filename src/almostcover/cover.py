@@ -360,41 +360,33 @@ def realize_trace(V: PointSet, point, trace) -> Hyperplane:
     return hyperplane_containing_avoiding(span, tuple(V.field.scalar(x) for x in point))
 
 
-def min_almost_cover(V: PointSet, point, budget=None, mode="closed") -> CoverSolution:
-    """Exact smallest almost cover of (V, point), with witness hyperplanes."""
-    return _solve_point(V, V.index_of(point), budget, mode)
+def min_almost_cover(
+    V: PointSet, point, budget=None, mode="closed", _shared=None, _data=None
+) -> CoverSolution:
+    """Exact smallest almost cover of (V, point), with witness hyperplanes.
 
-
-def _solve_point(V: PointSet, v_idx, budget, mode, shared=None, data=None) -> CoverSolution:
-    """Minimum almost cover at one point, reusing what other points of V share.
-
-    ``shared`` is V's flat lattice (closed mode) or hyperplane trace table
-    (hyperplanes mode) and ``data`` its Groebner data; each is built here
-    when not given.
+    ``_shared`` is V's flat lattice (closed mode) or hyperplane trace table
+    (hyperplanes mode) and ``_data`` its Groebner data, when the caller
+    already built them for other points of V; otherwise each is built here.
     """
+    v_idx = V.index_of(point)
     v_pt = V.points[v_idx]
     if len(V) == 1:
         return CoverSolution(
             excluded=v_pt, size=0, hyperplanes=(), lower_bound_used=0, optimal=True
         )
     if mode == "closed":
-        family = trace_family(V, v_pt, shared)
+        family = trace_family(V, v_pt, _shared)
     elif mode == "hyperplanes":
-        family = hyperplane_trace_family(V, v_pt, shared)
+        family = hyperplane_trace_family(V, v_pt, _shared)
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
-    if data is None:
-        data = buchberger_moller(V)
+    data = buchberger_moller(V) if _data is None else _data
     floor = data.separating_degree(v_pt)
     # the search runs over V minus v, so drop v's bit from every trace
     nelements = len(V) - 1
     low = (1 << v_idx) - 1
     masks = [mask & low | mask >> 1 & ~low for mask in family.masks]
-    union = 0
-    for mask in masks:
-        union |= mask
-    if union != (1 << nelements) - 1:
-        raise InvariantError("trace family does not cover the remaining points")
     chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, budget)
     if family.hyperplanes is not None:
         witnesses = tuple(family.hyperplanes[i] for i in chosen)
@@ -496,7 +488,10 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
         elif mode == "hyperplanes":
             shared = _hyperplane_traces(V)
     data = buchberger_moller(V)
-    solutions = {idx: _solve_point(V, idx, budget, mode, shared, data) for idx in reps}
+    solutions = {
+        idx: min_almost_cover(V, V.points[idx], budget, mode, _shared=shared, _data=data)
+        for idx in reps
+    }
 
     per_point = [None] * len(V)
     if partition is not None:

@@ -17,11 +17,11 @@ scaled once to integers by their common denominator D, which scales a
 monomial of degree d by D^d, and that factor is undone when a basis
 polynomial or an indicator expansion is built.
 
-The indicator expansions come from the scan's own echelon rows, one per
-standard monomial: back-substituted, on first use, until each row is zero
-at every pivot point but its own, a row holds a multiple of its pivot
-point's indicator function over the standard monomials.  No second
-elimination is run.
+A point's indicator expansion comes from the scan's own echelon rows, one
+per standard monomial: the point's unit vector, reduced against them in
+scan order, leaves minus a multiple of its indicator function over the
+standard monomials.  No second elimination is run, and the rows never
+change.
 """
 
 from __future__ import annotations
@@ -42,41 +42,22 @@ def _mono_value(mono, point):
     return v
 
 
-class IndicatorExpansion:
-    """Coefficients of one point's indicator function over the standard monomials."""
-
-    __slots__ = ("point", "coefficients")
-
-    def __init__(self, point, coefficients):
-        self.point = tuple(point)
-        self.coefficients = dict(coefficients)
-
-    def degree(self) -> int:
-        return max(mono_deg(m) for m in self.coefficients)
-
-    def to_polynomial(self, field, nvars) -> Polynomial:
-        return Polynomial(field, nvars, dict(self.coefficients))
-
-    def __repr__(self):
-        return f"IndicatorExpansion(point={self.point}, terms={len(self.coefficients)})"
-
-
 class GroebnerData:
     """Reduced deglex basis of a vanishing ideal plus its standard monomials.
 
     Built by ``buchberger_moller``, which hands over its echelon rows and
-    the scale of its integer points for the indicator expansions.
+    the scale of its integer points for the indicator expansions.  Nothing
+    is reassigned after construction.
     """
 
-    __slots__ = ("source", "basis", "sm", "_rows", "_scale", "_inverse")
+    __slots__ = ("source", "basis", "sm", "_rows", "_scale")
 
     def __init__(self, source: PointSet, basis, sm, rows, scale):
         self.source = source
         self.basis = tuple(basis)
         self.sm = tuple(sm)
-        self._rows = rows
+        self._rows = tuple(rows)
         self._scale = scale
-        self._inverse = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Unique representative of f supported on the standard monomials."""
@@ -86,39 +67,26 @@ class GroebnerData:
             raise ValueError("variable count does not match the ambient dimension")
         return reduce_poly(f, self.basis)
 
-    def _indicator_matrix_inverse(self):
-        # the scan's echelon rows, back-substituted until each is zero at
-        # every pivot but its own, hold pivot * (the pivot point's indicator
-        # over the standard monomials evaluated on scale * V); computed once,
-        # indexed by point.  A row shorter than the others has zeros past its
-        # end, and so has its expansion.
-        if self._inverse is None:
-            kernel = _IntKernel(self.source.field)
-            rows = self._rows
-            for r in range(len(rows) - 1, 0, -1):
-                pivot, prow = rows[r]
-                for i in range(r):
-                    own, row = rows[i]
-                    if row[pivot]:
-                        rows[i] = own, kernel.eliminate(row, prow, pivot)
-            npts = len(rows)
-            # back on V, the coefficient of a degree-d monomial takes a
-            # factor scale^d
-            factors = [self._scale ** mono_deg(m) for m in self.sm]
-            inverse = [None] * npts
-            for pivot, row in rows:
-                tail = [c * f for c, f in zip(row[npts:], factors)]
-                inverse[pivot] = kernel.scalars(tail, row[pivot])
-            self._inverse = tuple(inverse)
-            self._rows = None
-        return self._inverse
-
-    def indicator_expansion(self, point) -> IndicatorExpansion:
+    def indicator_expansion(self, point) -> Polynomial:
         """Expansion of the function that is 1 at the point, 0 at the others."""
-        idx = self.source.index_of(point)
-        inv = self._indicator_matrix_inverse()[idx]
-        coeffs = {mono: c for mono, c in zip(self.sm, inv) if c}
-        return IndicatorExpansion(self.source.points[idx], coeffs)
+        V = self.source
+        idx = V.index_of(point)
+        npts = len(V)
+        kernel = _IntKernel(V.field)
+        # [unit vector of the point | zeros over sm | tracking slot 1]: each
+        # scan row is zero at the pivots of the rows before it, so one pass
+        # in scan order clears the point values and leaves [0 | -t * chi | t],
+        # chi the indicator over sm evaluated on scale * V.  A row shorter
+        # than this one has zeros past its end.
+        row = [0] * (2 * npts + 1)
+        row[idx] = row[-1] = 1
+        for pivot, prow in self._rows:
+            if row[pivot]:
+                row = kernel.eliminate(row, prow, pivot)
+        # back on V, the coefficient of a degree-d monomial takes a factor
+        # scale^d
+        tail = [-c * self._scale ** mono_deg(m) for c, m in zip(row[npts:-1], self.sm)]
+        return Polynomial(V.field, V.dim, dict(zip(self.sm, kernel.scalars(tail, row[-1]))))
 
     def separating_degree(self, point) -> int:
         """Degree of the normal form of the point's indicator function.

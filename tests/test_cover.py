@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from almostcover import cover
 from almostcover.cover import (
     ac_numbers,
     hyperplane_trace_family,
@@ -15,6 +16,7 @@ from almostcover.cover import (
     verify_cover,
 )
 from almostcover.cover import _min_cover_over_masks
+from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate, symmetry_generators
 from almostcover.fields import GF, QQ
 from almostcover.linalg import AffineMap, Hyperplane, PointSet, affine_span
@@ -307,6 +309,11 @@ def test_branch_and_bound_beats_greedy():
     assert not optimal and len(chosen) == 3
 
 
+def test_greedy_rejects_masks_that_miss_an_element():
+    with pytest.raises(InvariantError):
+        _min_cover_over_masks([0b001, 0b011], 3, 0, None)
+
+
 def test_solver_agrees_with_brute_force_randomized():
     rng = random.Random(20260808)
     grid_q = [
@@ -514,6 +521,25 @@ def test_ac_numbers_matches_standalone_solves():
             alone = min_almost_cover(V, V.points[idx])
             assert (sol.size, sol.hyperplanes) == (alone.size, alone.hyperplanes)
             assert numbers.per_point[idx] == alone.size
+
+
+def test_ac_numbers_solves_each_point_through_min_almost_cover(monkeypatch):
+    # the per-point solve is the public one, so wrapping it sees every solve
+    solve = cover.min_almost_cover
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "min_almost_cover", counting)
+    spec = FamilySpec.parse("cube:3")
+    V = generate(spec)
+    ac_numbers(V)
+    assert calls == list(V.points)
+    calls.clear()
+    ac_numbers(V, generators=symmetry_generators(spec))
+    assert calls == [V.points[0]]
 
 
 def test_solution_witnesses_are_deterministic():
