@@ -68,10 +68,6 @@ class TraceFamily:
     hyperplanes: tuple | None = None
 
     @property
-    def excluded(self):
-        return self.source.points[self.excluded_index]
-
-    @property
     def traces(self):
         return tuple(_indices(mask) for mask in self.masks)
 
@@ -122,77 +118,76 @@ def _sorted_by_indices(masks, width):
     return tuple(sorted(masks, key=lambda mask: format(mask, bits)[::-1], reverse=True))
 
 
-def _flat_lattice(V: PointSet):
-    """Every flat of V that is a maximal trace, with the points it is one for.
+def _coatom_masks(V: PointSet):
+    """The coatoms of V's flat lattice, each once, as bitmasks over the point indices.
 
     A flat is an affinely closed subset of V (it equals the meet of its own
-    span with V), as a bitmask over the point indices.  A flat F is a
-    maximal closed set avoiding v exactly when v is outside F but inside
-    every one-point extension closure of F, so F is stored as (F, meet of
-    its extension closures minus F) when that mask is nonzero.
+    span with V) and a coatom is a flat whose span is a hyperplane of
+    aff(V).  A flat F avoiding v is a maximal closed set avoiding v exactly
+    when F is a coatom: by exchange, v in aff(F + u) and v outside aff(F)
+    put every other point u in aff(F + v).
 
-    Depth-first closure enumeration from the singletons.  A flat on the
-    stack keeps, for every point outside it, the residual of (point - base)
-    against its path's echelon rows as a kernel ``direction`` (see
-    ``linalg``).  Points share an extension closure exactly when their
-    residuals are parallel, that is equal, so one dict pass finds every
-    extension; residuals then propagate in O(|V| n) per extension.
+    Reverse search (Avis and Fukuda, 1996) from the singletons.  A flat on
+    the stack keeps, for every point outside it, the residual of
+    (point - base) against its path's echelon rows as a kernel
+    ``direction`` (see ``linalg``).  Points share an extension closure
+    exactly when their residuals are equal, so one dict pass finds every
+    extension; residuals then propagate in O(|V| n) per extension.  The
+    greedy basis of a flat takes, in turn, its lowest point outside the
+    closure of the points taken so far.  An extension G | E of a flat G
+    whose basis ends at ``last`` has G's basis plus min E as its greedy
+    basis exactly when min E > last, and only then is it a child, so every
+    flat is reached once, from the closure of its basis minus the last
+    point.  Coatoms are recorded and never expanded.
     """
     kernel = _IntKernel(V.field)
     direction = kernel.direction
     pts, _ = kernel.int_points(V.points)
     m = len(pts)
-    full = (1 << m) - 1
-    lattice = []
-    seen = set()
+    top = affine_span(V.points).dim - 1
+    if top <= 0:
+        # a collinear V has its points as coatoms, a single point has none
+        return [1 << j for j in range(m)] if top == 0 else []
+    coatoms = []
     stack = []
-    for j in range(m):
-        key = 1 << j
-        if key == full:
-            continue
-        base = pts[j]
-        res = [None] * m
-        for w in range(m):
-            if w != j:
-                res[w] = direction([a - b for a, b in zip(pts[w], base)])
-        seen.add(key)
-        stack.append((key, res))
+    for j, base in enumerate(pts):
+        res = [None if w == j else direction([a - b for a, b in zip(p, base)]) for w, p in enumerate(pts)]
+        stack.append((1 << j, j, 0, res))
     while stack:
-        key, res = stack.pop()
+        flat, last, rank, res = stack.pop()
         extensions = {}
         for w, rw in enumerate(res):
             if rw is not None:
                 extensions[rw] = extensions.get(rw, 0) | 1 << w
-        common = full
         for r, joins in extensions.items():
-            closure = key | joins
-            common &= closure
-            if closure != full and closure not in seen:
-                seen.add(closure)
-                pivot = next(i for i, x in enumerate(r) if x)
-                rp = r[pivot]
-                new_res = [None] * m
-                for w, rw in enumerate(res):
-                    if rw is None or joins >> w & 1:
-                        continue
-                    lam = rw[pivot]
-                    new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)]) if lam else rw
-                stack.append((closure, new_res))
-        if common & ~key:
-            lattice.append((key, common & ~key))
-    return lattice
+            if joins & ((2 << last) - 1):
+                continue  # flat | joins has another canonical parent
+            if rank + 1 == top:
+                coatoms.append(flat | joins)
+                continue
+            pivot = next(i for i, x in enumerate(r) if x)
+            rp = r[pivot]
+            new_res = [None] * m
+            for w, rw in enumerate(res):
+                if rw is None or joins >> w & 1:
+                    continue
+                lam = rw[pivot]
+                new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)]) if lam else rw
+            stack.append((flat | joins, (joins & -joins).bit_length() - 1, rank + 1, new_res))
+    return coatoms
 
 
-def trace_family(V: PointSet, point, _lattice=None) -> TraceFamily:
+def trace_family(V: PointSet, point, _coatoms=None) -> TraceFamily:
     """The maximal affinely closed subsets of V avoiding the given point.
 
-    ``_lattice`` is V's flat lattice when the caller already built it for
+    These are the coatoms of V's flat lattice that avoid the point.
+    ``_coatoms`` is V's coatom list when the caller already built it for
     other points of V; otherwise it is built here.
     """
     v_idx = V.index_of(point)
-    lattice = _flat_lattice(V) if _lattice is None else _lattice
+    coatoms = _coatom_masks(V) if _coatoms is None else _coatoms
     bit = 1 << v_idx
-    masks = _sorted_by_indices((flat for flat, maximal_for in lattice if maximal_for & bit), len(V))
+    masks = _sorted_by_indices((mask for mask in coatoms if not mask & bit), len(V))
     return TraceFamily(source=V, excluded_index=v_idx, masks=masks)
 
 
@@ -238,8 +233,8 @@ def hyperplane_trace_family(V: PointSet, point, _table=None) -> TraceFamily:
 
     Only available over GF(p); keeps the nonempty hyperplane traces
     avoiding the excluded point and prunes non-maximal ones.  It evaluates
-    hyperplanes directly and never reads the flat lattice, so it serves as
-    an independent check of the closed-set mode.  ``_table`` is V's
+    hyperplanes directly and never enumerates coatoms, so it serves as an
+    independent check of the closed-set mode.  ``_table`` is V's
     hyperplane trace table when the caller already built it for other
     points of V; otherwise it is built here.
     """
@@ -365,7 +360,7 @@ def min_almost_cover(
 ) -> CoverSolution:
     """Exact smallest almost cover of (V, point), with witness hyperplanes.
 
-    ``_shared`` is V's flat lattice (closed mode) or hyperplane trace table
+    ``_shared`` is V's coatom list (closed mode) or hyperplane trace table
     (hyperplanes mode) and ``_data`` its Groebner data, when the caller
     already built them for other points of V; otherwise each is built here.
     """
@@ -467,7 +462,7 @@ def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
 def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNumbers:
     """Almost-cover numbers of every point: the per-point table, max and min.
 
-    The flat lattice (or, in hyperplanes mode, the hyperplane trace table)
+    The coatom list (or, in hyperplanes mode, the hyperplane trace table)
     and the Groebner data are built once and shared by every point solved.
     With symmetry generators, one representative per orbit is solved and the
     value shared across the orbit (covers map to covers under any affine
@@ -484,7 +479,7 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
     # a single point needs no traces, in any mode and over any field
     if len(V) > 1:
         if mode == "closed":
-            shared = _flat_lattice(V)
+            shared = _coatom_masks(V)
         elif mode == "hyperplanes":
             shared = _hyperplane_traces(V)
     data = buchberger_moller(V)

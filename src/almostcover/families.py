@@ -85,6 +85,9 @@ class FamilySpec:
             except ValueError:
                 raise ValueError(f"bad {name} argument {args[i]!r} in family spec") from None
 
+        arity = {"cube": 1, "vnk": 2, "vnkt": 3, "jnq": 2, "inq": 2, "perm": 1, "ag": 2}
+        if len(args) > arity.get(kind, len(args)):
+            raise ValueError(f"too many arguments in family spec {text.strip()!r}")
         if kind == "cube":
             return cls("cube", arg_int(0, "n"), field=field or QQ)
         if kind == "vnk":

@@ -6,11 +6,12 @@ eligible row, and hyperplanes are scaled so their first nonzero normal entry
 is one, making every representation unique and reproducible.
 
 The hot loops (``rref`` here, Buchberger-Moeller in ``vanishing`` and the
-flat lattice in ``cover``) run on ``_IntKernel`` rows of plain ints: over
-the rationals a row is scaled to integers and kept free of common factors,
-over GF(p) it holds residues, and the lattice keeps rows as canonical
-directions.  Field scalars are rebuilt only on the way out; spans,
-hyperplanes and maps stay on them and so check the kernel independently.
+coatom enumeration in ``cover``) run on ``_IntKernel`` rows of plain ints:
+over the rationals a row is scaled to integers and kept free of common
+factors, over GF(p) it holds residues, and the coatom enumeration keeps rows
+as canonical directions.  Field scalars are rebuilt only on the way out;
+spans, hyperplanes and maps stay on them and so check the kernel
+independently.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def parse_pointset(text: str) -> PointSet:
                 raise ParseError("dim line before field line", lineno)
             if dim is not None:
                 raise ParseError("duplicate dim line", lineno)
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise ParseError("expected 'dim <n>' with n >= 1", lineno)
             dim = int(parts[1])
         elif keyword == "point":

@@ -155,7 +155,7 @@ def test_out_of_memory_exits_3_with_one_error_line(monkeypatch, capsys):
     def exhausted(V):
         raise MemoryError
 
-    monkeypatch.setattr(cover, "_flat_lattice", exhausted)
+    monkeypatch.setattr(cover, "_coatom_masks", exhausted)
     for argv in (("--point", "0"), ("--all",)):
         code, out, err = run(capsys, "solve", "--family", "cube:3", *argv)
         assert code == 3

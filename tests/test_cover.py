@@ -457,6 +457,23 @@ def test_every_trace_is_a_maximal_hyperplane_trace(V):
             assert all(span.contains(p) for p in V.points)
 
 
+@settings(max_examples=15, deadline=None)
+@given(oracle_point_sets())
+def test_traces_are_every_coatom_avoiding_the_point_once(V):
+    # the coatoms from spans on field scalars: with d = dim aff(V), the sets
+    # meet(aff(S), V) over the d-point subsets S whose span has dimension d - 1
+    d = affine_span(V.points).dim
+    coatoms = set()
+    for S in itertools.combinations(V.points, d):
+        span = affine_span(list(S))
+        if span.dim == d - 1:
+            coatoms.add(tuple(j for j, p in enumerate(V.points) if span.contains(p)))
+    for v_idx, v in enumerate(V.points):
+        traces = trace_family(V, v).traces
+        assert len(set(traces)) == len(traces)
+        assert set(traces) == {c for c in coatoms if v_idx not in c}
+
+
 def test_hyperplane_enumeration_counts():
     # (p^n - 1)/(p - 1) canonical normals, p offsets each
     for p, n in [(2, 2), (3, 2), (2, 3)]:

@@ -72,6 +72,10 @@ def test_family_validation():
         FamilySpec.parse("nonsense:3")
     with pytest.raises(ValueError):
         FamilySpec.parse("cube")
+    # surplus arguments are an error, not silently dropped
+    for text in ("cube:2:5", "perm:3:9", "vnk:4:1:2", "vnkt:4:1:1,2:3", "ag:2:3:1"):
+        with pytest.raises(ValueError, match=text):
+            FamilySpec.parse(text)
 
 
 def test_ag_forces_matching_field():

@@ -43,6 +43,7 @@ def test_parse_errors_carry_line_numbers():
         ("field rational\ndim 2\npoint 1 2\npoint 1 2\n", 4),  # duplicate
         ("dim 2\nfield rational\n", 1),                   # dim before field
         ("field rational\ndim 0\n", 2),                   # bad dimension
+        ("field rational\ndim ²\n", 2),                   # digit int() rejects
         ("field rational\ndim 2\nvertex 1 2\n", 3),       # unknown directive
         ("field gf:6\ndim 1\npoint 0\n", 1),              # composite modulus
         ("field rational\ndim 1\npoint 1.5\n", 3),        # float literal
