@@ -18,7 +18,6 @@ from .bounds import (
 )
 from .cover import (
     ACNumbers,
-    AffineMap,
     CoverSolution,
     TraceFamily,
     ac_numbers,
@@ -38,6 +37,7 @@ from .families import (
 )
 from .fields import GF, QQ, Field, GFElement
 from .linalg import (
+    AffineMap,
     AffineSubspace,
     Hyperplane,
     PointSet,
@@ -45,7 +45,7 @@ from .linalg import (
     hyperplane_containing_avoiding,
     rref,
 )
-from .pointfile import load_pointset, parse_pointset, write_pointset
+from .pointfile import load_pointset, parse_pointset
 from .polyring import Polynomial, deglex_key, reduce_poly
 from .vanishing import GroebnerData, buchberger_moller
 
@@ -93,5 +93,4 @@ __all__ = [
     "szw_sharp_polynomial",
     "trace_family",
     "verify_cover",
-    "write_pointset",
 ]

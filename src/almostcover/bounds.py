@@ -20,6 +20,8 @@ from .vanishing import GroebnerData, buchberger_moller
 
 E_LOW = Fraction(2_718_281_828, 10**9)
 E_HIGH = Fraction(2_718_281_829, 10**9)
+# decimal places of the lower root approximation in the e-based bound
+ROOT_DIGITS = 12
 
 
 def binomial(a: int, b: int) -> int:
@@ -135,9 +137,9 @@ def _iroot(x: int, n: int) -> int:
     return guess
 
 
-def rational_root_lower(x: int, n: int, digits: int = 12) -> Fraction:
+def rational_root_lower(x: int, n: int) -> Fraction:
     """A rational lower approximation of x ** (1/n), exact when x is an nth power."""
-    scale = 10**digits
+    scale = 10**ROOT_DIGITS
     return Fraction(_iroot(x * scale**n, n), scale)
 
 

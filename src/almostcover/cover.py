@@ -23,12 +23,12 @@ hyperplane directly and serves as a cross-check of the closed-set mode.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 from heapq import nlargest
 
 from .errors import InvariantError
 from .linalg import (
-    AffineMap,
     Hyperplane,
     PointSet,
     _IntKernel,
@@ -38,7 +38,6 @@ from .linalg import (
 from .vanishing import buchberger_moller
 
 __all__ = [
-    "AffineMap",
     "TraceFamily",
     "CoverSolution",
     "OrbitPartition",
@@ -115,11 +114,14 @@ def _sorted_by_indices(masks, width):
     first.  So the order is that of the bit-reversed masks, descending.
     """
     bits = f"0{width}b"
-    return tuple(sorted(masks, key=lambda mask: format(mask, bits)[::-1], reverse=True))
+    return tuple(sorted(masks, key=lambda mask: int(format(mask, bits)[::-1], 2), reverse=True))
 
 
 def _coatom_masks(V: PointSet):
     """The coatoms of V's flat lattice, each once, as bitmasks over the point indices.
+
+    They come sorted by ascending index tuple, so the coatoms avoiding any
+    one point are a sorted subsequence.
 
     A flat is an affinely closed subset of V (it equals the meet of its own
     span with V) and a coatom is a flat whose span is a hyperplane of
@@ -147,7 +149,7 @@ def _coatom_masks(V: PointSet):
     top = affine_span(V.points).dim - 1
     if top <= 0:
         # a collinear V has its points as coatoms, a single point has none
-        return [1 << j for j in range(m)] if top == 0 else []
+        return tuple(1 << j for j in range(m)) if top == 0 else ()
     coatoms = []
     stack = []
     for j, base in enumerate(pts):
@@ -174,20 +176,20 @@ def _coatom_masks(V: PointSet):
                 lam = rw[pivot]
                 new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)]) if lam else rw
             stack.append((flat | joins, (joins & -joins).bit_length() - 1, rank + 1, new_res))
-    return coatoms
+    return _sorted_by_indices(coatoms, m)
 
 
 def trace_family(V: PointSet, point, _coatoms=None) -> TraceFamily:
     """The maximal affinely closed subsets of V avoiding the given point.
 
     These are the coatoms of V's flat lattice that avoid the point.
-    ``_coatoms`` is V's coatom list when the caller already built it for
-    other points of V; otherwise it is built here.
+    ``_coatoms`` is ``_coatom_masks(V)`` when the caller already built it
+    for other points of V; otherwise it is built here.
     """
     v_idx = V.index_of(point)
     coatoms = _coatom_masks(V) if _coatoms is None else _coatoms
     bit = 1 << v_idx
-    masks = _sorted_by_indices((mask for mask in coatoms if not mask & bit), len(V))
+    masks = tuple(mask for mask in coatoms if not mask & bit)
     return TraceFamily(source=V, excluded_index=v_idx, masks=masks)
 
 
@@ -208,11 +210,7 @@ def _hyperplane_traces(V: PointSet):
 
     def normals():
         for lead in range(n):
-            tail_len = n - lead - 1
-            stack = [()]
-            for _ in range(tail_len):
-                stack = [t + (e,) for t in stack for e in elements]
-            for tail in stack:
+            for tail in itertools.product(elements, repeat=n - lead - 1):
                 yield (zero,) * lead + (one,) + tail
 
     first = {}

@@ -95,7 +95,10 @@ class FamilySpec:
         if kind == "vnkt":
             if len(args) < 3:
                 raise ValueError("vnkt needs n, k and T, e.g. vnkt:3:1:1,2")
-            t = tuple(sorted(int(x) for x in args[2].split(",") if x))
+            try:
+                t = tuple(sorted(int(x) for x in args[2].split(",") if x))
+            except ValueError:
+                raise ValueError(f"bad T argument {args[2]!r} in family spec") from None
             return cls("vnkt", arg_int(0, "n"), k=arg_int(1, "k"), t=t, field=field or QQ)
         if kind in ("jnq", "inq"):
             return cls(kind, arg_int(0, "n"), q=arg_int(1, "q"), field=field or QQ)
@@ -168,7 +171,7 @@ def sharp_cover_vnk(n: int, k: int):
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got ({n}, {k})")
     ones = [QQ.one()] * n
-    return [Hyperplane(ones, QQ.from_int(i)) for i in range(1, k + 1)]
+    return [Hyperplane(ones, QQ.scalar(i)) for i in range(1, k + 1)]
 
 
 def szw_sharp_polynomial(n: int, k: int) -> Polynomial:
@@ -188,7 +191,7 @@ def szw_sharp_polynomial(n: int, k: int) -> Polynomial:
     if f.degree() != k + 1:
         raise InvariantError("sharp polynomial has the wrong degree")
     for vertex in itertools.product((0, 1), repeat=n):
-        point = tuple(QQ.from_int(x) for x in vertex)
+        point = tuple(QQ.scalar(x) for x in vertex)
         value = f.evaluate(point)
         if sum(vertex) <= k:
             if value:
@@ -252,7 +255,7 @@ def symmetry_generators(spec: FamilySpec):
             shift = [one if j == i else zero for j in range(n)]
             gens.append(AffineMap(identity, shift))
         if spec.q > 2:
-            g = field.from_int(_primitive_root(spec.q))
+            g = field.scalar(_primitive_root(spec.q))
             scaled = [[g if c == r else zero for c in range(n)] for r in range(n)]
             gens.append(AffineMap(scaled, [zero] * n))
         return gens

@@ -176,9 +176,6 @@ class Field:
     def one(self):
         return Fraction(1) if self.p is None else GFElement(1, self.p)
 
-    def from_int(self, k: int):
-        return Fraction(k) if self.p is None else GFElement(k, self.p)
-
     def scalar(self, x):
         """Coerce an int, Fraction, or GFElement into this field, or raise."""
         if self.p is None:
@@ -194,11 +191,6 @@ class Field:
         if isinstance(x, int):
             return GFElement(x, self.p)
         raise TypeError(f"not a GF({self.p}) scalar: {x!r}")
-
-    def contains(self, x) -> bool:
-        if self.p is None:
-            return isinstance(x, Fraction)
-        return isinstance(x, GFElement) and x.p == self.p
 
     def parse(self, text: str):
         """Parse 'a' or 'a/b' over the rationals; a plain integer over GF(p)."""

@@ -179,21 +179,8 @@ class PointSet:
             raise ValueError(f"point {self.format_point(p)} is not in the set")
         return i
 
-    def __contains__(self, point) -> bool:
-        try:
-            self.index_of(point)
-            return True
-        except (ValueError, TypeError):
-            return False
-
     def __len__(self):
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
 
     def __eq__(self, other):
         return (

@@ -75,13 +75,6 @@ def parse_pointset(text: str) -> PointSet:
     return PointSet(field, dim, rows)
 
 
-def write_pointset(V: PointSet) -> str:
-    lines = [f"field {V.field.name}", f"dim {V.dim}"]
-    for p in V.points:
-        lines.append("point " + " ".join(V.field.format(x) for x in p))
-    return "\n".join(lines) + "\n"
-
-
 def load_pointset(path: str) -> PointSet:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_pointset(handle.read())

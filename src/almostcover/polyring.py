@@ -2,16 +2,13 @@
 
 Monomials are dense exponent tuples of length n.  The deglex order compares
 total degree first and breaks ties lexicographically with x1 most
-significant; rendering and parsing use the grammar ``x1^2*x2 - 3/2*x2 + 1``
-with terms in descending deglex order.
+significant; polynomials render as ``x1^2*x2 - 3/2*x2 + 1``, terms in
+descending deglex order.
 """
 
 from __future__ import annotations
 
-import re
-
 from .fields import Field
-from .errors import ParseError
 
 
 def mono_one(nvars: int) -> tuple:
@@ -51,9 +48,6 @@ def deglex_key(mono) -> tuple:
     return sum(mono), mono
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x\d+)|([+\-*^]))")
-
-
 class Polynomial:
     """Exact-coefficient polynomial; zero coefficients are never stored."""
 
@@ -82,21 +76,6 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(field, nvars, {mono: field.one()})
-
-    @classmethod
-    def from_terms(cls, field, nvars, pairs):
-        """Build from (exponent tuple, coefficient) pairs, summing repeats."""
-        acc = {}
-        for mono, coeff in pairs:
-            mono = tuple(mono)
-            if len(mono) != nvars or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono} for {nvars} variables")
-            c = acc.get(mono, field.zero()) + field.scalar(coeff)
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return cls(field, nvars, acc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,7 +124,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return NotImplemented
         self._check_compatible(other)
         acc = {}
         for m1, c1 in self.terms.items():
@@ -159,23 +138,6 @@ class Polynomial:
                 else:
                     acc.pop(m, None)
         return Polynomial(self.field, self.nvars, acc)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, value):
-        c = self.field.scalar(value)
-        if not c:
-            return Polynomial(self.field, self.nvars)
-        return Polynomial(self.field, self.nvars, {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.field, self.nvars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def evaluate(self, point):
         if len(point) != self.nvars:
@@ -221,73 +183,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
-
-    @classmethod
-    def parse(cls, field: Field, nvars: int, text: str) -> "Polynomial":
-        """Parse the rendering grammar back into a polynomial."""
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ParseError(f"bad polynomial syntax near {rest[:12]!r}")
-            tokens.append(m.group(m.lastindex))
-            pos = m.end()
-        if not tokens:
-            raise ParseError("empty polynomial text")
-        pairs = []
-        i = 0
-        first = True
-        while i < len(tokens):
-            sign = 1
-            while i < len(tokens) and tokens[i] in "+-":
-                if tokens[i] == "+" and first and not pairs:
-                    raise ParseError("polynomial may not start with '+'")
-                if tokens[i] == "-":
-                    sign = -sign
-                i += 1
-            first = False
-            coeff = field.one() * sign
-            expo = [0] * nvars
-            saw_factor = False
-            while True:
-                if i >= len(tokens):
-                    break
-                tok = tokens[i]
-                if tok in "+-":
-                    break
-                if tok == "*":
-                    raise ParseError("misplaced '*'")
-                if tok[0] == "x":
-                    var = int(tok[1:])
-                    if not 1 <= var <= nvars:
-                        raise ParseError(f"variable {tok} out of range (n = {nvars})")
-                    e = 1
-                    if i + 1 < len(tokens) and tokens[i + 1] == "^":
-                        if i + 2 >= len(tokens) or not tokens[i + 2].isdigit():
-                            raise ParseError(f"bad exponent after {tok}")
-                        e = int(tokens[i + 2])
-                        i += 2
-                    expo[var - 1] += e
-                else:
-                    coeff = coeff * field.parse(tok)
-                saw_factor = True
-                i += 1
-                if i < len(tokens) and tokens[i] == "*":
-                    i += 1
-                    if i >= len(tokens) or tokens[i] in "+-*^":
-                        raise ParseError("dangling '*'")
-                    continue
-                break
-            if not saw_factor:
-                raise ParseError("empty term")
-            if i < len(tokens) and tokens[i] not in "+-":
-                raise ParseError(f"expected '+' or '-' before {tokens[i]!r}")
-            pairs.append((tuple(expo), coeff))
-        return cls.from_terms(field, nvars, pairs)
 
 
 def reduce_poly(f: Polynomial, gens) -> Polynomial:

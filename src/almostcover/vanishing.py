@@ -180,7 +180,7 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
     start = mono_one(nvars)
     heap = [(deglex_key(start), start)]
     seen = {start}
-    while heap and len(sm) < npts:
+    while heap:
         _, mono = heapq.heappop(heap)
         if any(mono_divides(lm, mono) for lm in lms):
             continue
@@ -189,6 +189,10 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         if pivot is None:
             basis.append(basis_polynomial(mono, row))
             lms.append(mono)
+        elif len(sm) == npts:
+            # once |sm| = |V| the standard monomials span all functions on
+            # the set, so every remaining border candidate must be dependent
+            raise InvariantError("independent monomial found beyond a spanning set")
         else:
             rows.append((pivot, row))
             sm.append(mono)
@@ -199,15 +203,4 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
                     heapq.heappush(heap, (deglex_key(child), child))
     if len(sm) != npts:
         raise InvariantError("monomial scan terminated before spanning the point set")
-    # once |sm| = |V| the standard monomials span all functions on the set,
-    # so every remaining border candidate must be dependent
-    while heap:
-        _, mono = heapq.heappop(heap)
-        if any(mono_divides(lm, mono) for lm in lms):
-            continue
-        row = reduce_candidate(mono)
-        if any(row[:npts]):
-            raise InvariantError("independent monomial found beyond a spanning set")
-        basis.append(basis_polynomial(mono, row))
-        lms.append(mono)
     return GroebnerData(V, basis, sm, rows, scale)

@@ -100,7 +100,7 @@ def check_separating_degrees(max_n: int = 5):
                 if sum(vertex) <= k:
                     continue
                 cases += 1
-                point = tuple(QQ.from_int(x) for x in vertex)
+                point = tuple(QQ.scalar(x) for x in vertex)
                 W = PointSet(QQ, n, list(base.points) + [point])
                 data = buchberger_moller(W)
                 extra = set(data.sm) - base_sm
@@ -281,7 +281,7 @@ def check_orbit_constancy():
     return results
 
 
-def _chain_instances(include_perm4: bool = False):
+def _chain_instances():
     specs = []
     for n in range(1, 5):
         for k in range(n):
@@ -289,19 +289,17 @@ def _chain_instances(include_perm4: bool = False):
         specs.append((f"cube:{n}", False))
     specs.extend((f"jnq:{n}:{q}", False) for n, q in JNQ_GRID)
     specs.extend((f"ag:{n}:{q}", False) for n, q in AG_GRID)
-    specs.append(("perm:3", False))
-    if include_perm4:
-        specs.append(("perm:4", True))
+    specs.extend([("perm:3", False), ("perm:4", True)])
     return specs
 
 
-def check_bound_ordering(include_perm4: bool = False):
+def check_bound_ordering():
     """On every verified family the bounds form the expected chain:
     e-based <= counting <= 0-1 counting <= certificate <= exact, with
     certificate equality on the sharp families."""
     results = []
     tight = {"vnk", "cube", "jnq"}
-    for desc, symmetric in _chain_instances(include_perm4):
+    for desc, symmetric in _chain_instances():
         V = _family_points(desc)
         acn = _family_ac(desc, symmetric)
         exact = acn.ac_max
@@ -365,7 +363,7 @@ def check_szw_polynomials(max_n: int = 5):
             nf = data.normal_form(f)
             ok = nf.is_zero()
             nonzero_outside = all(
-                f.evaluate(tuple(QQ.from_int(x) for x in vertex))
+                f.evaluate(tuple(QQ.scalar(x) for x in vertex))
                 for vertex in itertools.product((0, 1), repeat=n)
                 if sum(vertex) > k
             )

@@ -63,7 +63,7 @@ def test_criterion_07_permutohedron():
 
 
 def test_criterion_08_bound_ordering_chain():
-    assert_all("criterion 8 bound chain", check_bound_ordering(include_perm4=True))
+    assert_all("criterion 8 bound chain", check_bound_ordering())
 
 
 def test_criterion_09_binomial_inequalities():

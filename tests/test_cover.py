@@ -472,6 +472,7 @@ def test_traces_are_every_coatom_avoiding_the_point_once(V):
         traces = trace_family(V, v).traces
         assert len(set(traces)) == len(traces)
         assert set(traces) == {c for c in coatoms if v_idx not in c}
+        assert traces == tuple(sorted(traces))
 
 
 def test_hyperplane_enumeration_counts():

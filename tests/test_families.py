@@ -72,6 +72,8 @@ def test_family_validation():
         FamilySpec.parse("nonsense:3")
     with pytest.raises(ValueError):
         FamilySpec.parse("cube")
+    with pytest.raises(ValueError, match="bad T argument 'a'"):
+        FamilySpec.parse("vnkt:3:1:a")
     # surplus arguments are an error, not silently dropped
     for text in ("cube:2:5", "perm:3:9", "vnk:4:1:2", "vnkt:4:1:1,2:3", "ag:2:3:1"):
         with pytest.raises(ValueError, match=text):
@@ -119,7 +121,7 @@ def test_szw_vanishes_exactly_on_low_levels():
         data = buchberger_moller(V)
         assert data.normal_form(f).is_zero()
         for vertex in itertools.product((0, 1), repeat=n):
-            value = f.evaluate(tuple(QQ.from_int(x) for x in vertex))
+            value = f.evaluate(tuple(QQ.scalar(x) for x in vertex))
             assert bool(value) == (sum(vertex) > k)
 
 

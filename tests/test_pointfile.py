@@ -4,7 +4,7 @@ import pytest
 
 from almostcover.errors import ParseError
 from almostcover.fields import GF, QQ
-from almostcover.pointfile import parse_pointset, write_pointset
+from almostcover.pointfile import parse_pointset
 
 SAMPLE = """\
 # a comment
@@ -27,14 +27,6 @@ def test_parse_gf_file():
     V = parse_pointset("field gf:5\ndim 1\npoint 7\npoint 3\n")
     assert V.field == GF(5)
     assert V.points[0][0].value == 2
-
-
-def test_write_then_parse_round_trip():
-    V = parse_pointset(SAMPLE)
-    text = write_pointset(V)
-    assert parse_pointset(text) == V
-    # canonical files are fixed points of write(parse(.))
-    assert write_pointset(parse_pointset(text)) == text
 
 
 def test_parse_errors_carry_line_numbers():

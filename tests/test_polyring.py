@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostcover.errors import ParseError
 from almostcover.fields import GF, QQ
 from almostcover.polyring import Polynomial, deglex_key, mono_divides, mono_mul, reduce_poly
 
 
-def poly(text, nvars=2, field=QQ):
-    return Polynomial.parse(field, nvars, text)
+def poly(terms, nvars=2, field=QQ):
+    """The polynomial with the given {exponent tuple: int or Fraction} terms."""
+    return Polynomial(field, nvars, {mono: field.scalar(c) for mono, c in terms.items()})
 
 
 def test_compare_degree_dominates():
@@ -26,73 +26,61 @@ def test_one_is_minimal():
 
 
 def test_leading_terms():
-    f = poly("3*x1 + x2^2")
+    f = poly({(1, 0): 3, (0, 2): 1})
     assert f.leading_term() == ((0, 2), Fraction(1))
-    assert poly("7").leading_term() == ((0, 0), Fraction(7))
-    assert poly("x1*x2 - x1").leading_term() == ((1, 1), Fraction(1))
+    assert poly({(0, 0): 7}).leading_term() == ((0, 0), Fraction(7))
+    assert poly({(1, 1): 1, (1, 0): -1}).leading_term() == ((1, 1), Fraction(1))
     with pytest.raises(ValueError):
         Polynomial.zero(QQ, 2).leading_term()
 
 
 def test_arithmetic_examples():
-    assert (poly("x1 + 1") + poly("-x1")).text() == "1"
-    assert (poly("x1 - 1") * poly("x1 + 1")).text() == "x1^2 - 1"
-    f = poly("x1 + 1", field=GF(2))
+    assert (poly({(1, 0): 1, (0, 0): 1}) + poly({(1, 0): -1})).text() == "1"
+    assert (poly({(1, 0): 1, (0, 0): -1}) * poly({(1, 0): 1, (0, 0): 1})).text() == "x1^2 - 1"
+    f = poly({(1, 0): 1, (0, 0): 1}, field=GF(2))
     assert (f * f).text() == "x1^2 + 1"
 
 
 def test_field_mismatch_rejected():
     with pytest.raises(TypeError):
-        poly("x1") + poly("x1", field=GF(3))
+        poly({(1, 0): 1}) + poly({(1, 0): 1}, field=GF(3))
     with pytest.raises(ValueError):
-        poly("x1", nvars=2) + poly("x1", nvars=3)
+        poly({(1, 0): 1}, nvars=2) + poly({(1, 0, 0): 1}, nvars=3)
 
 
 def test_evaluate():
-    f = poly("x1^2*x2 - 2*x2 + 1")
+    f = poly({(2, 1): 1, (0, 1): -2, (0, 0): 1})
     assert f.evaluate((QQ.scalar(2), QQ.scalar(3))) == Fraction(4 * 3 - 6 + 1)
-    g = poly("x1 + x2", field=GF(3))
+    g = poly({(1, 0): 1, (0, 1): 1}, field=GF(3))
     assert g.evaluate((GF(3).scalar(2), GF(3).scalar(2))) == 1
 
 
 def test_reduce_single_replacement():
     # x1^2 modulo x1^2 - x1 rewrites to x1
-    assert reduce_poly(poly("x1^2"), [poly("x1^2 - x1")]).text() == "x1"
+    assert reduce_poly(poly({(2, 0): 1}), [poly({(2, 0): 1, (1, 0): -1})]).text() == "x1"
 
 
 def test_reduce_exact_division():
-    assert reduce_poly(poly("x1*x2"), [poly("x1*x2")]).is_zero()
+    assert reduce_poly(poly({(1, 1): 1}), [poly({(1, 1): 1})]).is_zero()
 
 
 def test_reduce_two_steps():
-    G = [poly("x1^2 - x1"), poly("x2^2 - x2")]
-    assert reduce_poly(poly("x1^2*x2"), G).text() == "x1*x2"
+    G = [poly({(2, 0): 1, (1, 0): -1}), poly({(0, 2): 1, (0, 1): -1})]
+    assert reduce_poly(poly({(2, 1): 1}), G).text() == "x1*x2"
 
 
 def test_reduce_rejects_zero_generator():
     with pytest.raises(ValueError):
-        reduce_poly(poly("x1"), [Polynomial.zero(QQ, 2)])
+        reduce_poly(poly({(1, 0): 1}), [Polynomial.zero(QQ, 2)])
 
 
 def test_render_descending_deglex_and_signs():
-    f = poly("1 - 2*x2 + x1*x2")
+    f = poly({(0, 0): 1, (0, 1): -2, (1, 1): 1})
     assert f.text() == "x1*x2 - 2*x2 + 1"
-    assert poly("-x1 + 1/2").text() == "-x1 + 1/2"
+    assert poly({(1, 0): -1, (0, 0): Fraction(1, 2)}).text() == "-x1 + 1/2"
     assert Polynomial.zero(QQ, 2).text() == "0"
-    g = Polynomial.parse(GF(3), 2, "2*x1 + 2")
+    g = poly({(1, 0): 2, (0, 0): 2}, field=GF(3))
     assert g.text() == "2*x1 + 2"
-
-
-def test_parse_round_trip():
-    for text in ("x1^2*x2 - 3/2*x2 + 1", "-x1 + x2", "0", "5", "x1^3"):
-        f = poly(text, nvars=2)
-        assert poly(f.text(), nvars=2) == f
-
-
-def test_parse_errors():
-    for bad in ("x3", "x1 +", "* x1", "x1 ^", "x1 x2", "1..2", ""):
-        with pytest.raises(ParseError):
-            poly(bad, nvars=2)
 
 
 monos = st.tuples(
@@ -121,14 +109,10 @@ small_monos = st.tuples(
 raw_polys = st.dictionaries(small_monos, coeffs, max_size=5)
 
 
-def as_poly(raw, field=QQ):
-    return Polynomial.from_terms(field, 2, list(raw.items()))
-
-
 @settings(max_examples=80, deadline=None)
 @given(raw_polys, raw_polys, raw_polys)
 def test_ring_axioms(fa, fb, fc):
-    a, b, c = as_poly(fa), as_poly(fb), as_poly(fc)
+    a, b, c = poly(fa), poly(fb), poly(fc)
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
@@ -138,8 +122,8 @@ def test_ring_axioms(fa, fb, fc):
 @settings(max_examples=60, deadline=None)
 @given(raw_polys, st.lists(raw_polys, min_size=1, max_size=3))
 def test_reduce_properties(raw_f, raw_gens):
-    f = as_poly(raw_f)
-    gens = [as_poly(g) for g in raw_gens if as_poly(g)]
+    f = poly(raw_f)
+    gens = [poly(g) for g in raw_gens if poly(g)]
     if not gens:
         return
     h = reduce_poly(f, gens)
