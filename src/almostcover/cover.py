@@ -31,9 +31,9 @@ from .errors import InvariantError
 from .linalg import (
     Hyperplane,
     PointSet,
+    _hyperplanes_containing,
     _IntKernel,
     affine_span,
-    hyperplane_containing_avoiding,
 )
 from .vanishing import buchberger_moller
 
@@ -347,20 +347,78 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
     return state["best"], optimal, state["nodes"]
 
 
-def realize_trace(V: PointSet, point, trace) -> Hyperplane:
-    """A hyperplane through all the trace's points that avoids the given one."""
-    span = affine_span([V.points[j] for j in trace])
-    return hyperplane_containing_avoiding(span, tuple(V.field.scalar(x) for x in point))
+class _WitnessMemo:
+    """Witness work for one point set, shared by the solves at its points.
+
+    It keeps each trace's candidate hyperplanes, from one ``affine_span``
+    per trace, and each hyperplane's ``contains`` test at each point of the
+    set, filled in as the solves ask for them.  The candidate is still
+    chosen at every excluded point: which one misses the point can depend on
+    the point.
+    """
+
+    __slots__ = ("source", "_candidates", "_hits")
+
+    def __init__(self, V: PointSet):
+        self.source = V
+        self._candidates = {}
+        self._hits = {}
+
+    def candidates(self, trace) -> tuple:
+        """The canonical hyperplanes containing the span of the trace's points."""
+        trace = tuple(trace)
+        found = self._candidates.get(trace)
+        if found is None:
+            span = affine_span([self.source.points[j] for j in trace])
+            found = self._candidates[trace] = _hyperplanes_containing(span)
+        return found
+
+    def hits(self, H) -> list:
+        """``H.contains`` at each point of the set, None where not yet asked."""
+        hits = self._hits.get(H)
+        if hits is None:
+            hits = self._hits[H] = [None] * len(self.source)
+        return hits
+
+
+def _contains(H, hits, point, j) -> bool:
+    """``H.contains(point)``, kept in ``hits[j]`` if the point is point j of the set.
+
+    j is None at a point outside the set.
+    """
+    if j is None:
+        return H.contains(point)
+    hit = hits[j]
+    if hit is None:
+        hit = hits[j] = H.contains(point)
+    return hit
+
+
+def realize_trace(V: PointSet, point, trace, _memo=None) -> Hyperplane:
+    """A hyperplane through all the trace's points that avoids the given one.
+
+    It is ``hyperplane_containing_avoiding`` of the trace's span and the
+    point.  ``_memo`` is V's witness memo when the caller shares one across
+    the points of V; otherwise a fresh one is used.
+    """
+    memo = _WitnessMemo(V) if _memo is None else _memo
+    v_pt = tuple(V.field.scalar(x) for x in point)
+    v_idx = V._index.get(v_pt)
+    for H in memo.candidates(trace):
+        if not _contains(H, memo.hits(H), v_pt, v_idx):
+            return H
+    raise ValueError("inseparable: the point lies in the subspace")
 
 
 def min_almost_cover(
-    V: PointSet, point, budget=None, mode="closed", _shared=None, _data=None
+    V: PointSet, point, budget=None, mode="closed", _shared=None, _data=None, _memo=None
 ) -> CoverSolution:
     """Exact smallest almost cover of (V, point), with witness hyperplanes.
 
     ``_shared`` is V's coatom list (closed mode) or hyperplane trace table
-    (hyperplanes mode) and ``_data`` its Groebner data, when the caller
-    already built them for other points of V; otherwise each is built here.
+    (hyperplanes mode), ``_data`` its Groebner data and ``_memo`` its
+    witness memo, when the caller already built them for other points of V;
+    otherwise each is built here.
     """
     v_idx = V.index_of(point)
     v_pt = V.points[v_idx]
@@ -381,11 +439,12 @@ def min_almost_cover(
     low = (1 << v_idx) - 1
     masks = [mask & low | mask >> 1 & ~low for mask in family.masks]
     chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, budget)
+    memo = _WitnessMemo(V) if _memo is None else _memo
     if family.hyperplanes is not None:
         witnesses = tuple(family.hyperplanes[i] for i in chosen)
     else:
-        witnesses = tuple(realize_trace(V, v_pt, _indices(family.masks[i])) for i in chosen)
-    if not verify_cover(V, v_pt, witnesses):
+        witnesses = tuple(realize_trace(V, v_pt, _indices(family.masks[i]), memo) for i in chosen)
+    if not verify_cover(V, v_pt, witnesses, memo):
         raise InvariantError("solver produced an invalid cover")
     if optimal and len(chosen) < floor:
         raise InvariantError("solver undercut the certificate lower bound")
@@ -399,16 +458,30 @@ def min_almost_cover(
     )
 
 
-def verify_cover(V: PointSet, point, hyperplanes) -> bool:
-    """True when the union covers every point of V except the given one."""
+def verify_cover(V: PointSet, point, hyperplanes, _memo=None) -> bool:
+    """True when the union covers every point of V except the given one.
+
+    Every test is ``H.contains`` on field scalars.  ``_memo`` is V's witness
+    memo when the caller shares one across the points of V; otherwise a
+    fresh one is used.
+    """
+    memo = _WitnessMemo(V) if _memo is None else _memo
     v_pt = tuple(V.field.scalar(x) for x in point)
-    for H in hyperplanes:
-        if H.contains(v_pt):
-            return False
-    for u in V.points:
-        if u == v_pt:
+    v_idx = V._index.get(v_pt)
+    rows = [(H, memo.hits(H)) for H in hyperplanes]
+    if any(_contains(H, hits, v_pt, v_idx) for H, hits in rows):
+        return False
+    for j, u in enumerate(V.points):
+        if j == v_idx:
             continue
-        if not any(H.contains(u) for H in hyperplanes):
+        # _contains inlined: this loop makes most of the tests
+        for H, hits in rows:
+            hit = hits[j]
+            if hit is None:
+                hit = hits[j] = H.contains(u)
+            if hit:
+                break
+        else:
             return False
     return True
 
@@ -460,8 +533,9 @@ def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
 def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNumbers:
     """Almost-cover numbers of every point: the per-point table, max and min.
 
-    The coatom list (or, in hyperplanes mode, the hyperplane trace table)
-    and the Groebner data are built once and shared by every point solved.
+    The coatom list (or, in hyperplanes mode, the hyperplane trace table),
+    the Groebner data and the witness memo are built once and shared by
+    every point solved.
     With symmetry generators, one representative per orbit is solved and the
     value shared across the orbit (covers map to covers under any affine
     symmetry of the set).
@@ -481,8 +555,9 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
         elif mode == "hyperplanes":
             shared = _hyperplane_traces(V)
     data = buchberger_moller(V)
+    memo = _WitnessMemo(V)
     solutions = {
-        idx: min_almost_cover(V, V.points[idx], budget, mode, _shared=shared, _data=data)
+        idx: min_almost_cover(V, V.points[idx], budget, mode, _shared=shared, _data=data, _memo=memo)
         for idx in reps
     }
 

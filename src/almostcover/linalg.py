@@ -182,14 +182,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointSet)
-            and self.field == other.field
-            and self.dim == other.dim
-            and self.points == other.points
-        )
-
     def is_zero_one(self) -> bool:
         zero, one = self.field.zero(), self.field.one()
         return all(x == zero or x == one for p in self.points for x in p)
@@ -328,23 +320,20 @@ class Hyperplane:
         return f"Hyperplane({self.as_text()})"
 
 
-def hyperplane_containing_avoiding(subspace: AffineSubspace, point) -> Hyperplane:
-    """A hyperplane containing the subspace but not the point.
+def _hyperplanes_containing(subspace: AffineSubspace) -> tuple:
+    """The canonical hyperplanes containing a proper subspace, one per free column.
 
-    The normal comes from the canonical null-space basis of the direction
-    rows (read off the reduced echelon form, free columns in ascending
-    order); the first basis vector not orthogonal to point - base works.
-    Such a vector always exists when the point is outside the subspace.
+    Their normals are the canonical null-space basis of the direction rows,
+    read off the reduced echelon form with the free columns in ascending
+    order.  A point outside the subspace is missed by at least one of them.
     """
     n = subspace.ambient_dim
-    if len(point) != n:
-        raise ValueError("dimension mismatch")
     if subspace.dim >= n:
         raise ValueError("no proper hyperplane contains a full-dimensional subspace")
     field = scalar_field(subspace.base[0])
     zero, one = field.zero(), field.one()
-    diff = [x - b for x, b in zip(point, subspace.base)]
     pivot_row = {p: i for i, p in enumerate(subspace.pivots)}
+    hyperplanes = []
     for free in range(n):
         if free in pivot_row:
             continue
@@ -352,9 +341,22 @@ def hyperplane_containing_avoiding(subspace: AffineSubspace, point) -> Hyperplan
         normal[free] = one
         for p, i in pivot_row.items():
             normal[p] = -subspace.rows[i][free]
-        if sum(a * d for a, d in zip(normal, diff)):
-            offset = sum(a * b for a, b in zip(normal, subspace.base))
-            return Hyperplane(normal, offset)
+        offset = sum(a * b for a, b in zip(normal, subspace.base))
+        hyperplanes.append(Hyperplane(normal, offset))
+    return tuple(hyperplanes)
+
+
+def hyperplane_containing_avoiding(subspace: AffineSubspace, point) -> Hyperplane:
+    """A hyperplane containing the subspace but not the point.
+
+    It is the first of ``_hyperplanes_containing(subspace)`` that misses the
+    point; one exists when the point is outside the subspace.
+    """
+    if len(point) != subspace.ambient_dim:
+        raise ValueError("dimension mismatch")
+    for H in _hyperplanes_containing(subspace):
+        if not H.contains(point):
+            return H
     raise ValueError("inseparable: the point lies in the subspace")
 
 

@@ -93,8 +93,24 @@ class GroebnerData:
 
         This is the least possible degree of a polynomial vanishing on all
         other points of the set but not at this one.
+
+        It runs the reduction of ``indicator_expansion`` on the point
+        columns only, which make every choice of it.  Scan row k is the
+        first with a column for sm[k], and its entry there is nonzero, so
+        the expansion's last monomial is sm[k] for the last row k used; and
+        deglex degrees do not fall in scan order.
         """
-        return self.indicator_expansion(point).degree()
+        V = self.source
+        npts = len(V)
+        kernel = _IntKernel(V.field)
+        row = [0] * npts
+        row[V.index_of(point)] = 1
+        last = 0
+        for k, (pivot, prow) in enumerate(self._rows):
+            if row[pivot]:
+                row = kernel.eliminate(row, prow[:npts], pivot)
+                last = k
+        return mono_deg(self.sm[last])
 
     def max_sm_degree(self) -> int:
         return max(mono_deg(m) for m in self.sm)

@@ -20,6 +20,7 @@ from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate, symmetry_generators
 from almostcover.fields import GF, QQ
 from almostcover.linalg import AffineMap, Hyperplane, PointSet, affine_span
+from almostcover.vanishing import buchberger_moller
 
 
 def qpoints(rows):
@@ -457,6 +458,14 @@ def test_every_trace_is_a_maximal_hyperplane_trace(V):
             assert all(span.contains(p) for p in V.points)
 
 
+@settings(max_examples=30, deadline=None)
+@given(oracle_point_sets())
+def test_separating_degree_is_the_indicator_degree(V):
+    data = buchberger_moller(V)
+    for v in V.points:
+        assert data.separating_degree(v) == data.indicator_expansion(v).degree()
+
+
 @settings(max_examples=15, deadline=None)
 @given(oracle_point_sets())
 def test_traces_are_every_coatom_avoiding_the_point_once(V):
@@ -533,12 +542,58 @@ def test_ac_numbers_matches_standalone_solves():
         qpoints([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]),
         generate(FamilySpec.parse("vnk:3:1")),
         PointSet.from_ints(GF(3), [(0, 0), (1, 0), (2, 1), (1, 2), (0, 2)]),
+        # aff(V) a proper subspace, so each trace has several candidate
+        # hyperplanes: the plane x1 + x2 + x3 = 0 and, over GF(3), the plane
+        # x3 = x1 + x2 + 1 with two of its points left out
+        generate(FamilySpec.parse("perm:3")),
+        PointSet.from_ints(
+            GF(3),
+            [
+                (x, y, (x + y + 1) % 3)
+                for x, y in itertools.product(range(3), repeat=2)
+                if (x, y) not in ((1, 2), (2, 2))
+            ],
+        ),
     ):
         numbers = ac_numbers(V)
         for idx, sol in numbers.solutions.items():
             alone = min_almost_cover(V, V.points[idx])
             assert (sol.size, sol.hyperplanes) == (alone.size, alone.hyperplanes)
             assert numbers.per_point[idx] == alone.size
+
+
+def test_ac_numbers_spans_each_witness_trace_once(monkeypatch):
+    span = cover.affine_span
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return span(points)
+
+    monkeypatch.setattr(cover, "affine_span", counting)
+    V = generate(FamilySpec.parse("cube:4"))
+    numbers = ac_numbers(V)
+    traces = {
+        tuple(j for j, p in enumerate(V.points) if H.contains(p))
+        for sol in numbers.solutions.values()
+        for H in sol.hyperplanes
+    }
+    # one span of V for the coatoms, then one per distinct witness trace
+    assert len(calls) <= 1 + len(traces)
+
+
+def test_shared_witness_memo_chooses_the_hyperplane_per_point():
+    # the span of one vertex has three candidate planes x_i = 0, and which
+    # one misses the point depends on the point
+    V = cube(3)
+    memo = cover._WitnessMemo(V)
+    chosen = set()
+    for v in V.points[1:]:
+        H = realize_trace(V, v, (0,), memo)
+        assert H == realize_trace(V, v, (0,))
+        assert verify_cover(V, v, [H], memo) == verify_cover(V, v, [H])
+        chosen.add(H)
+    assert len(chosen) == 3
 
 
 def test_ac_numbers_solves_each_point_through_min_almost_cover(monkeypatch):
