@@ -31,9 +31,9 @@ from .errors import InvariantError
 from .linalg import (
     Hyperplane,
     PointSet,
-    _hyperplanes_containing,
     _IntKernel,
     affine_span,
+    hyperplane_containing_avoiding,
 )
 from .vanishing import buchberger_moller
 
@@ -347,78 +347,53 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
     return state["best"], optimal, state["nodes"]
 
 
-class _WitnessMemo:
-    """Witness work for one point set, shared by the solves at its points.
+class _Work:
+    """What the solves at the points of one set share, built once per (V, mode).
 
-    It keeps each trace's candidate hyperplanes, from one ``affine_span``
-    per trace, and each hyperplane's ``contains`` test at each point of the
-    set, filled in as the solves ask for them.  The candidate is still
-    chosen at every excluded point: which one misses the point can depend on
-    the point.
+    ``traces`` is V's coatom list (closed mode) or hyperplane trace table
+    (hyperplanes mode), and ``data`` its Groebner data.  ``witnesses`` maps
+    a coatom's mask to its witness hyperplane: the span of a coatom T is a
+    hyperplane of aff(V), so a hyperplane through it either contains aff(V)
+    or meets V in T alone, and the first candidate that misses one point
+    outside T misses them all.  ``hits`` maps a hyperplane to its
+    ``contains`` test at each point of V, None where not yet asked.
     """
 
-    __slots__ = ("source", "_candidates", "_hits")
+    __slots__ = ("traces", "data", "witnesses", "hits")
 
-    def __init__(self, V: PointSet):
-        self.source = V
-        self._candidates = {}
-        self._hits = {}
-
-    def candidates(self, trace) -> tuple:
-        """The canonical hyperplanes containing the span of the trace's points."""
-        trace = tuple(trace)
-        found = self._candidates.get(trace)
-        if found is None:
-            span = affine_span([self.source.points[j] for j in trace])
-            found = self._candidates[trace] = _hyperplanes_containing(span)
-        return found
-
-    def hits(self, H) -> list:
-        """``H.contains`` at each point of the set, None where not yet asked."""
-        hits = self._hits.get(H)
-        if hits is None:
-            hits = self._hits[H] = [None] * len(self.source)
-        return hits
+    def __init__(self, V: PointSet, mode):
+        # a single point needs no traces, in any mode and over any field
+        if len(V) == 1:
+            self.traces = None
+        elif mode == "closed":
+            self.traces = _coatom_masks(V)
+        elif mode == "hyperplanes":
+            self.traces = _hyperplane_traces(V)
+        else:
+            raise ValueError(f"unknown solve mode {mode!r}")
+        self.data = buchberger_moller(V)
+        self.witnesses = {}
+        self.hits = {}
 
 
-def _contains(H, hits, point, j) -> bool:
-    """``H.contains(point)``, kept in ``hits[j]`` if the point is point j of the set.
-
-    j is None at a point outside the set.
-    """
-    if j is None:
-        return H.contains(point)
-    hit = hits[j]
-    if hit is None:
-        hit = hits[j] = H.contains(point)
-    return hit
-
-
-def realize_trace(V: PointSet, point, trace, _memo=None) -> Hyperplane:
+def realize_trace(V: PointSet, point, trace) -> Hyperplane:
     """A hyperplane through all the trace's points that avoids the given one.
 
     It is ``hyperplane_containing_avoiding`` of the trace's span and the
-    point.  ``_memo`` is V's witness memo when the caller shares one across
-    the points of V; otherwise a fresh one is used.
+    point.  For a coatom of V it is one hyperplane at every point outside
+    the coatom (see ``_Work``).
     """
-    memo = _WitnessMemo(V) if _memo is None else _memo
-    v_pt = tuple(V.field.scalar(x) for x in point)
-    v_idx = V._index.get(v_pt)
-    for H in memo.candidates(trace):
-        if not _contains(H, memo.hits(H), v_pt, v_idx):
-            return H
-    raise ValueError("inseparable: the point lies in the subspace")
+    span = affine_span([V.points[j] for j in trace])
+    return hyperplane_containing_avoiding(span, tuple(V.field.scalar(x) for x in point))
 
 
-def min_almost_cover(
-    V: PointSet, point, budget=None, mode="closed", _shared=None, _data=None, _memo=None
-) -> CoverSolution:
+def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None) -> CoverSolution:
     """Exact smallest almost cover of (V, point), with witness hyperplanes.
 
-    ``_shared`` is V's coatom list (closed mode) or hyperplane trace table
-    (hyperplanes mode), ``_data`` its Groebner data and ``_memo`` its
-    witness memo, when the caller already built them for other points of V;
-    otherwise each is built here.
+    ``_work`` is V's shared work (see ``_Work``) when the caller already
+    built it for other points of V; otherwise it is built here.  Each
+    coatom's witness is realized once per ``_work`` and reused at every
+    excluded point outside the coatom.
     """
     v_idx = V.index_of(point)
     v_pt = V.points[v_idx]
@@ -426,25 +401,29 @@ def min_almost_cover(
         return CoverSolution(
             excluded=v_pt, size=0, hyperplanes=(), lower_bound_used=0, optimal=True
         )
+    work = _Work(V, mode) if _work is None else _work
     if mode == "closed":
-        family = trace_family(V, v_pt, _shared)
-    elif mode == "hyperplanes":
-        family = hyperplane_trace_family(V, v_pt, _shared)
+        family = trace_family(V, v_pt, work.traces)
     else:
-        raise ValueError(f"unknown solve mode {mode!r}")
-    data = buchberger_moller(V) if _data is None else _data
-    floor = data.separating_degree(v_pt)
+        family = hyperplane_trace_family(V, v_pt, work.traces)
+    floor = work.data.separating_degree(v_pt)
     # the search runs over V minus v, so drop v's bit from every trace
     nelements = len(V) - 1
     low = (1 << v_idx) - 1
     masks = [mask & low | mask >> 1 & ~low for mask in family.masks]
     chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, budget)
-    memo = _WitnessMemo(V) if _memo is None else _memo
     if family.hyperplanes is not None:
         witnesses = tuple(family.hyperplanes[i] for i in chosen)
     else:
-        witnesses = tuple(realize_trace(V, v_pt, _indices(family.masks[i]), memo) for i in chosen)
-    if not verify_cover(V, v_pt, witnesses, memo):
+        witnesses = []
+        for i in chosen:
+            mask = family.masks[i]
+            H = work.witnesses.get(mask)
+            if H is None:
+                H = work.witnesses[mask] = realize_trace(V, v_pt, _indices(mask))
+            witnesses.append(H)
+        witnesses = tuple(witnesses)
+    if not verify_cover(V, v_pt, witnesses, work.hits):
         raise InvariantError("solver produced an invalid cover")
     if optimal and len(chosen) < floor:
         raise InvariantError("solver undercut the certificate lower bound")
@@ -458,27 +437,36 @@ def min_almost_cover(
     )
 
 
-def verify_cover(V: PointSet, point, hyperplanes, _memo=None) -> bool:
+def verify_cover(V: PointSet, point, hyperplanes, _hits=None) -> bool:
     """True when the union covers every point of V except the given one.
 
-    Every test is ``H.contains`` on field scalars.  ``_memo`` is V's witness
-    memo when the caller shares one across the points of V; otherwise a
-    fresh one is used.
+    Every test is ``H.contains`` on field scalars.  ``_hits`` maps each
+    hyperplane to its tests at V's points (None where not yet made) when the
+    caller shares them across the points of V; otherwise each test is made
+    here, at most once.
     """
-    memo = _WitnessMemo(V) if _memo is None else _memo
+    hits = {} if _hits is None else _hits
     v_pt = tuple(V.field.scalar(x) for x in point)
     v_idx = V._index.get(v_pt)
-    rows = [(H, memo.hits(H)) for H in hyperplanes]
-    if any(_contains(H, hits, v_pt, v_idx) for H, hits in rows):
-        return False
+    rows = []
+    for H in hyperplanes:
+        row = hits.get(H)
+        if row is None:
+            row = hits[H] = [None] * len(V)
+        rows.append((H, row))
+    for H, row in rows:
+        hit = H.contains(v_pt) if v_idx is None else row[v_idx]
+        if hit is None:
+            hit = row[v_idx] = H.contains(v_pt)
+        if hit:
+            return False
     for j, u in enumerate(V.points):
         if j == v_idx:
             continue
-        # _contains inlined: this loop makes most of the tests
-        for H, hits in rows:
-            hit = hits[j]
+        for H, row in rows:
+            hit = row[j]
             if hit is None:
-                hit = hits[j] = H.contains(u)
+                hit = row[j] = H.contains(u)
             if hit:
                 break
         else:
@@ -534,8 +522,8 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
     """Almost-cover numbers of every point: the per-point table, max and min.
 
     The coatom list (or, in hyperplanes mode, the hyperplane trace table),
-    the Groebner data and the witness memo are built once and shared by
-    every point solved.
+    the Groebner data, each coatom's witness hyperplane and each witness's
+    tests at the points are built once and shared by every point solved.
     With symmetry generators, one representative per orbit is solved and the
     value shared across the orbit (covers map to covers under any affine
     symmetry of the set).
@@ -547,18 +535,9 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
     else:
         reps = list(range(len(V)))
 
-    shared = None
-    # a single point needs no traces, in any mode and over any field
-    if len(V) > 1:
-        if mode == "closed":
-            shared = _coatom_masks(V)
-        elif mode == "hyperplanes":
-            shared = _hyperplane_traces(V)
-    data = buchberger_moller(V)
-    memo = _WitnessMemo(V)
+    work = _Work(V, mode)
     solutions = {
-        idx: min_almost_cover(V, V.points[idx], budget, mode, _shared=shared, _data=data, _memo=memo)
-        for idx in reps
+        idx: min_almost_cover(V, V.points[idx], budget, mode, _work=work) for idx in reps
     }
 
     per_point = [None] * len(V)

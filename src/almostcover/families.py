@@ -96,7 +96,7 @@ class FamilySpec:
             if len(args) < 3:
                 raise ValueError("vnkt needs n, k and T, e.g. vnkt:3:1:1,2")
             try:
-                t = tuple(sorted(int(x) for x in args[2].split(",") if x))
+                t = tuple(sorted(int(x) for x in args[2].split(",")))
             except ValueError:
                 raise ValueError(f"bad T argument {args[2]!r} in family spec") from None
             return cls("vnkt", arg_int(0, "n"), k=arg_int(1, "k"), t=t, field=field or QQ)

@@ -320,20 +320,23 @@ class Hyperplane:
         return f"Hyperplane({self.as_text()})"
 
 
-def _hyperplanes_containing(subspace: AffineSubspace) -> tuple:
-    """The canonical hyperplanes containing a proper subspace, one per free column.
+def hyperplane_containing_avoiding(subspace: AffineSubspace, point) -> Hyperplane:
+    """A hyperplane containing the subspace but not the point.
 
-    Their normals are the canonical null-space basis of the direction rows,
-    read off the reduced echelon form with the free columns in ascending
-    order.  A point outside the subspace is missed by at least one of them.
+    The normal comes from the canonical null-space basis of the direction
+    rows (read off the reduced echelon form, free columns in ascending
+    order); the first basis vector not orthogonal to point - base works.
+    Such a vector always exists when the point is outside the subspace.
     """
     n = subspace.ambient_dim
+    if len(point) != n:
+        raise ValueError("dimension mismatch")
     if subspace.dim >= n:
         raise ValueError("no proper hyperplane contains a full-dimensional subspace")
     field = scalar_field(subspace.base[0])
     zero, one = field.zero(), field.one()
+    diff = [x - b for x, b in zip(point, subspace.base)]
     pivot_row = {p: i for i, p in enumerate(subspace.pivots)}
-    hyperplanes = []
     for free in range(n):
         if free in pivot_row:
             continue
@@ -341,22 +344,9 @@ def _hyperplanes_containing(subspace: AffineSubspace) -> tuple:
         normal[free] = one
         for p, i in pivot_row.items():
             normal[p] = -subspace.rows[i][free]
-        offset = sum(a * b for a, b in zip(normal, subspace.base))
-        hyperplanes.append(Hyperplane(normal, offset))
-    return tuple(hyperplanes)
-
-
-def hyperplane_containing_avoiding(subspace: AffineSubspace, point) -> Hyperplane:
-    """A hyperplane containing the subspace but not the point.
-
-    It is the first of ``_hyperplanes_containing(subspace)`` that misses the
-    point; one exists when the point is outside the subspace.
-    """
-    if len(point) != subspace.ambient_dim:
-        raise ValueError("dimension mismatch")
-    for H in _hyperplanes_containing(subspace):
-        if not H.contains(point):
-            return H
+        if sum(a * d for a, d in zip(normal, diff)):
+            offset = sum(a * b for a, b in zip(normal, subspace.base))
+            return Hyperplane(normal, offset)
     raise ValueError("inseparable: the point lies in the subspace")
 
 

@@ -394,17 +394,17 @@ def run_suite(name: str, max_n: int | None = None):
     def cap(default):
         return default if max_n is None else min(default, max_n)
 
+    jnq_grid = tuple((n, q) for n, q in JNQ_GRID if max_n is None or n <= max_n)
     if name == "main":
         return check_vnk_standard_monomials(cap(6)) + check_separating_degrees(cap(5))
     if name == "main2":
-        grid = tuple((n, q) for n, q in JNQ_GRID if max_n is None or n <= max_n)
-        return check_jnq_sharpness(grid)
+        return check_jnq_sharpness(jnq_grid)
     if name == "main3":
         return check_vnk_cover_sharpness(cap(4)) + check_cube_alon_furedi(cap(4))
     if name == "main4":
         return check_orbit_constancy() + check_permutohedron(cap(4))
     if name == "sharpness":
-        return check_vnk_cover_sharpness(cap(4)) + check_jnq_sharpness()
+        return check_vnk_cover_sharpness(cap(4)) + check_jnq_sharpness(jnq_grid)
     if name == "binomial":
         return check_binomial_grid(cap(30))
     if name == "szw":

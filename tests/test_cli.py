@@ -197,6 +197,15 @@ def test_verify_json(capsys):
     assert all(c["passed"] for c in doc["results"]["checks"])
 
 
+def test_verify_max_n_caps_the_jnq_grid(capsys):
+    for suite in ("main2", "sharpness"):
+        code, out, _ = run(capsys, "verify", suite, "--max-n", "2", "--json", "--no-timings")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["results"]["checks"]]
+        assert any("jnq:2:" in name for name in names)
+        assert not any("jnq:3:" in name for name in names)
+
+
 def test_verify_selecting_no_checks_is_a_usage_error(capsys):
     for argv in (("main", "--max-n", "0"), ("szw", "--max-n", "-1"), ("main2", "--max-n", "1")):
         code, out, err = run(capsys, "verify", *argv)

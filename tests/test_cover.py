@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from almostcover import cover
 from almostcover.cover import (
@@ -537,6 +537,18 @@ def test_ac_numbers_with_symmetry_matches_direct():
     assert len(reduced.solutions) == 1
 
 
+def gf3_plane_part():
+    """7 points of the plane x3 = x1 + x2 + 1 over GF(3), two left out."""
+    return PointSet.from_ints(
+        GF(3),
+        [
+            (x, y, (x + y + 1) % 3)
+            for x, y in itertools.product(range(3), repeat=2)
+            if (x, y) not in ((1, 2), (2, 2))
+        ],
+    )
+
+
 def test_ac_numbers_matches_standalone_solves():
     for V in (
         qpoints([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]),
@@ -544,16 +556,9 @@ def test_ac_numbers_matches_standalone_solves():
         PointSet.from_ints(GF(3), [(0, 0), (1, 0), (2, 1), (1, 2), (0, 2)]),
         # aff(V) a proper subspace, so each trace has several candidate
         # hyperplanes: the plane x1 + x2 + x3 = 0 and, over GF(3), the plane
-        # x3 = x1 + x2 + 1 with two of its points left out
+        # x3 = x1 + x2 + 1
         generate(FamilySpec.parse("perm:3")),
-        PointSet.from_ints(
-            GF(3),
-            [
-                (x, y, (x + y + 1) % 3)
-                for x, y in itertools.product(range(3), repeat=2)
-                if (x, y) not in ((1, 2), (2, 2))
-            ],
-        ),
+        gf3_plane_part(),
     ):
         numbers = ac_numbers(V)
         for idx, sol in numbers.solutions.items():
@@ -571,27 +576,43 @@ def test_ac_numbers_spans_each_witness_trace_once(monkeypatch):
         return span(points)
 
     monkeypatch.setattr(cover, "affine_span", counting)
-    V = generate(FamilySpec.parse("cube:4"))
-    numbers = ac_numbers(V)
-    traces = {
-        tuple(j for j, p in enumerate(V.points) if H.contains(p))
-        for sol in numbers.solutions.values()
-        for H in sol.hyperplanes
-    }
-    # one span of V for the coatoms, then one per distinct witness trace
-    assert len(calls) <= 1 + len(traces)
+    for spec in ("cube:4", "perm:3", "perm:4", "vnk:5:2"):
+        calls.clear()
+        V = generate(FamilySpec.parse(spec))
+        numbers = ac_numbers(V)
+        traces = {
+            tuple(j for j, p in enumerate(V.points) if H.contains(p))
+            for sol in numbers.solutions.values()
+            for H in sol.hyperplanes
+        }
+        # one span of V for the coatoms, then one per distinct witness trace
+        assert len(calls) == 1 + len(traces), spec
 
 
-def test_shared_witness_memo_chooses_the_hyperplane_per_point():
-    # the span of one vertex has three candidate planes x_i = 0, and which
-    # one misses the point depends on the point
+@settings(max_examples=15, deadline=None)
+@given(oracle_point_sets())
+@example(generate(FamilySpec.parse("perm:3")))
+@example(gf3_plane_part())
+def test_a_coatom_has_one_witness_at_every_point_outside_it(V):
+    # what lets a solve realize each coatom once: a hyperplane through the
+    # span of a coatom T contains aff(V) or meets it in span(T), so the
+    # first candidate missing one point outside T misses them all
+    for mask in cover._coatom_masks(V):
+        trace = cover._indices(mask)
+        outside = [v for j, v in enumerate(V.points) if not mask >> j & 1]
+        assert len({realize_trace(V, v, trace) for v in outside}) == 1
+
+
+def test_a_trace_that_is_no_coatom_needs_a_witness_per_point():
+    # the span of one vertex of the cube has three candidate planes x_i = 0,
+    # and which one misses the point depends on the point, so witnesses are
+    # kept per coatom only
     V = cube(3)
-    memo = cover._WitnessMemo(V)
+    hits = {}
     chosen = set()
     for v in V.points[1:]:
-        H = realize_trace(V, v, (0,), memo)
-        assert H == realize_trace(V, v, (0,))
-        assert verify_cover(V, v, [H], memo) == verify_cover(V, v, [H])
+        H = realize_trace(V, v, (0,))
+        assert verify_cover(V, v, [H], hits) == verify_cover(V, v, [H])
         chosen.add(H)
     assert len(chosen) == 3
 

@@ -72,8 +72,9 @@ def test_family_validation():
         FamilySpec.parse("nonsense:3")
     with pytest.raises(ValueError):
         FamilySpec.parse("cube")
-    with pytest.raises(ValueError, match="bad T argument 'a'"):
-        FamilySpec.parse("vnkt:3:1:a")
+    for t in ("a", "1,,2", "1,2,"):
+        with pytest.raises(ValueError, match=f"bad T argument '{t}'"):
+            FamilySpec.parse(f"vnkt:3:1:{t}")
     # surplus arguments are an error, not silently dropped
     for text in ("cube:2:5", "perm:3:9", "vnk:4:1:2", "vnkt:4:1:1,2:3", "ag:2:3:1"):
         with pytest.raises(ValueError, match=text):
