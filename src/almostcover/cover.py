@@ -197,32 +197,31 @@ def _hyperplane_traces(V: PointSet):
     """Every distinct nonempty hyperplane trace on V, with its first hyperplane.
 
     Only available over GF(p); enumerates all (p^n - 1)/(p - 1) * p
-    hyperplanes in canonical form and evaluates each on every point.
+    hyperplanes normal . x = offset in canonical order (normals with a
+    leading 1, then offsets ascending).  One pass over the points' residues
+    per normal puts each point's bit into the mask at offset normal . x mod
+    p, which gives the traces of every offset at once.  It reads the
+    residues directly and shares no code with the coatom enumeration.
     Returns a dict from trace bitmask to the first hyperplane, in canonical
-    order, that cuts it out.
+    order, that cuts it out; a ``Hyperplane`` is built only then.
     """
     field = V.field
     if field.is_rational:
         raise ValueError("exhaustive hyperplane enumeration needs a finite field")
-    n = V.dim
-    zero, one = field.zero(), field.one()
-    elements = field.elements()
-
-    def normals():
-        for lead in range(n):
-            for tail in itertools.product(elements, repeat=n - lead - 1):
-                yield (zero,) * lead + (one,) + tail
-
+    p, n = field.p, V.dim
+    residues = [tuple(x.value for x in pt) for pt in V.points]
     first = {}
-    for normal in normals():
-        for offset in elements:
-            H = Hyperplane(normal, offset)
-            mask = 0
-            for j, p in enumerate(V.points):
-                if H.contains(p):
-                    mask |= 1 << j
-            if mask and mask not in first:
-                first[mask] = H
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            normal = (0,) * lead + (1,) + tail
+            masks = {}
+            for j, r in enumerate(residues):
+                offset = sum(a * x for a, x in zip(normal, r)) % p
+                masks[offset] = masks.get(offset, 0) | 1 << j
+            for offset in sorted(masks):
+                mask = masks[offset]
+                if mask not in first:
+                    first[mask] = Hyperplane.from_ints(field, normal, offset)
     return first
 
 
@@ -362,10 +361,7 @@ class _Work:
     __slots__ = ("traces", "data", "witnesses", "hits")
 
     def __init__(self, V: PointSet, mode):
-        # a single point needs no traces, in any mode and over any field
-        if len(V) == 1:
-            self.traces = None
-        elif mode == "closed":
+        if mode == "closed":
             self.traces = _coatom_masks(V)
         elif mode == "hyperplanes":
             self.traces = _hyperplane_traces(V)
@@ -397,11 +393,12 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None)
     """
     v_idx = V.index_of(point)
     v_pt = V.points[v_idx]
+    # built first, so that a single point meets the mode checks too
+    work = _Work(V, mode) if _work is None else _work
     if len(V) == 1:
         return CoverSolution(
             excluded=v_pt, size=0, hyperplanes=(), lower_bound_used=0, optimal=True
         )
-    work = _Work(V, mode) if _work is None else _work
     if mode == "closed":
         family = trace_family(V, v_pt, work.traces)
     else:

@@ -6,8 +6,10 @@ residues, always reduced into [0, p).  No floating point appears anywhere;
 mixing scalars from different fields raises ``TypeError``.
 
 These are the scalars of the public API and of the independent checks
-(spans, hyperplanes, polynomial evaluation).  The hot loops convert them
-to plain ints once and back at the end (``linalg._IntKernel``).
+(spans, hyperplanes, polynomial evaluation, cover verification).  The hot
+loops convert them to plain ints once and back at the end
+(``linalg._IntKernel``); the exhaustive hyperplane table reads a GF(p)
+scalar's residue ``value`` directly.
 """
 
 from __future__ import annotations
@@ -208,12 +210,6 @@ class Field:
 
     def format(self, x) -> str:
         return str(self.scalar(x))
-
-    def elements(self):
-        """All field elements in residue order; only finite fields support this."""
-        if self.p is None:
-            raise ValueError("the rational field is infinite")
-        return [GFElement(v, self.p) for v in range(self.p)]
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p

@@ -9,9 +9,11 @@ The hot loops (``rref`` here, Buchberger-Moeller in ``vanishing`` and the
 coatom enumeration in ``cover``) run on ``_IntKernel`` rows of plain ints:
 over the rationals a row is scaled to integers and kept free of common
 factors, over GF(p) it holds residues, and the coatom enumeration keeps rows
-as canonical directions.  Field scalars are rebuilt only on the way out;
-spans, hyperplanes and maps stay on them and so check the kernel
-independently.
+as canonical directions.  The exhaustive hyperplane table in ``cover`` reads
+GF(p) residues too, without the kernel, so that it shares no code with the
+coatom enumeration it checks.  Field scalars are rebuilt only on the way
+out; spans, hyperplanes, maps and cover verification stay on them and so
+check the integer code independently.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ division.  Both facts are relied on downstream and checked in the tests.
 The scan runs on integer kernel rows (see ``linalg``): rational points are
 scaled once to integers by their common denominator D, which scales a
 monomial of degree d by D^d, and that factor is undone when a basis
-polynomial or an indicator expansion is built.
+polynomial or an indicator expansion is built.  Every candidate after 1 is
+a standard monomial times one variable, so its values on the points are
+that parent's values times one coordinate: one multiplication per point,
+on any point set.
 
 A point's indicator expansion comes from the scan's own echelon rows, one
 per standard monomial: the point's unit vector, reduced against them in
@@ -31,15 +34,6 @@ import heapq
 from .errors import InvariantError
 from .linalg import PointSet, _IntKernel
 from .polyring import Polynomial, deglex_key, mono_deg, mono_divides, mono_one, reduce_poly
-
-
-def _mono_value(mono, point):
-    """A monomial's value at an integer point."""
-    v = 1
-    for x, e in zip(point, mono):
-        if e:
-            v *= x**e
-    return v
 
 
 class GroebnerData:
@@ -157,20 +151,6 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
     points, scale = kernel.int_points(V.points)
     npts = len(points)
     nvars = V.dim
-    if V.is_zero_one():
-        # on a 0-1 set a monomial evaluates to 1 exactly when its support
-        # lies inside the point's support, so evaluation is a bitmask test
-        supports = [sum(1 << i for i, x in enumerate(p) if x) for p in points]
-
-        def values(mono):
-            msup = sum(1 << i for i, e in enumerate(mono) if e)
-            return [1 if msup & ~s == 0 else 0 for s in supports]
-
-    else:
-
-        def values(mono):
-            return [_mono_value(mono, p) for p in points]
-
     sm = []
     basis = []
     lms = []
@@ -178,13 +158,9 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
     # points, then its coefficients over the standard monomials found
     # before it and over its own monomial
     rows = []
-
-    def reduce_candidate(mono):
-        row = kernel.normalize(values(mono) + [0] * len(sm) + [1])
-        for pivot, prow in rows:
-            if row[pivot]:
-                row = kernel.eliminate(row, prow, pivot)
-        return row
+    # values[k]: sm[k] on the points, as the kernel holds it; the rows are
+    # exact, so a candidate gets the same values from any parent
+    values = []
 
     def basis_polynomial(mono, row):
         # the combination vanishes on every point and its coefficient at
@@ -194,13 +170,21 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         return Polynomial(field, nvars, {m: c for (m, _), c in zip(terms, coeffs)})
 
     start = mono_one(nvars)
-    heap = [(deglex_key(start), start)]
+    # (key, monomial, index of its parent in sm, the variable it adds)
+    heap = [(deglex_key(start), start, None, None)]
     seen = {start}
     while heap:
-        _, mono = heapq.heappop(heap)
+        _, mono, parent, var = heapq.heappop(heap)
         if any(mono_divides(lm, mono) for lm in lms):
             continue
-        row = reduce_candidate(mono)
+        if parent is None:
+            vals = [1] * npts
+        else:
+            vals = [a * p[var] for a, p in zip(values[parent], points)]
+        row = first = kernel.normalize(vals + [0] * len(sm) + [1])
+        for pivot, prow in rows:
+            if row[pivot]:
+                row = kernel.eliminate(row, prow, pivot)
         pivot = next((i for i in range(npts) if row[i]), None)
         if pivot is None:
             basis.append(basis_polynomial(mono, row))
@@ -211,12 +195,13 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
             raise InvariantError("independent monomial found beyond a spanning set")
         else:
             rows.append((pivot, row))
+            values.append(first[:npts])
             sm.append(mono)
             for i in range(nvars):
                 child = tuple(e + 1 if j == i else e for j, e in enumerate(mono))
                 if child not in seen:
                     seen.add(child)
-                    heapq.heappush(heap, (deglex_key(child), child))
+                    heapq.heappush(heap, (deglex_key(child), child, len(sm) - 1, i))
     if len(sm) != npts:
         raise InvariantError("monomial scan terminated before spanning the point set")
     return GroebnerData(V, basis, sm, rows, scale)

@@ -204,21 +204,19 @@ def check_ag_jamison(grid=AG_GRID):
         desc = f"ag:{n}:{q}"
         V = _family_points(desc)
         expected = (q - 1) * n
-        ok = True
-        details = []
-        for point in V.points:
-            closed = min_almost_cover(V, point, mode="closed")
-            exhaustive = min_almost_cover(V, point, mode="hyperplanes")
+        closed = _family_ac(desc).solutions
+        exhaustive = ac_numbers(V, mode="hyperplanes").solutions
+        details = [
+            f"{V.format_point(V.points[j])}: closed {closed[j].size}, "
+            f"exhaustive {exhaustive[j].size}"
+            for j in range(len(V))
             if not (
-                closed.optimal
-                and exhaustive.optimal
-                and closed.size == exhaustive.size == expected
-            ):
-                ok = False
-                details.append(
-                    f"{V.format_point(point)}: closed {closed.size}, "
-                    f"exhaustive {exhaustive.size}"
-                )
+                closed[j].optimal
+                and exhaustive[j].optimal
+                and closed[j].size == exhaustive[j].size == expected
+            )
+        ]
+        ok = not details
         results.append(
             _result(
                 f"jamison {desc}",
@@ -281,25 +279,26 @@ def check_orbit_constancy():
     return results
 
 
-def _chain_instances():
+def _chain_instances(max_n):
     specs = []
-    for n in range(1, 5):
+    for n in range(1, max_n + 1):
         for k in range(n):
             specs.append((f"vnk:{n}:{k}", False))
         specs.append((f"cube:{n}", False))
-    specs.extend((f"jnq:{n}:{q}", False) for n, q in JNQ_GRID)
-    specs.extend((f"ag:{n}:{q}", False) for n, q in AG_GRID)
-    specs.extend([("perm:3", False), ("perm:4", True)])
+    specs.extend((f"jnq:{n}:{q}", False) for n, q in JNQ_GRID if n <= max_n)
+    specs.extend((f"ag:{n}:{q}", False) for n, q in AG_GRID if n <= max_n)
+    # perm:4 is solved at one point per orbit
+    specs.extend((f"perm:{n}", n == 4) for n in (3, 4) if n <= max_n)
     return specs
 
 
-def check_bound_ordering():
+def check_bound_ordering(max_n: int = 4):
     """On every verified family the bounds form the expected chain:
     e-based <= counting <= 0-1 counting <= certificate <= exact, with
     certificate equality on the sharp families."""
     results = []
     tight = {"vnk", "cube", "jnq"}
-    for desc, symmetric in _chain_instances():
+    for desc, symmetric in _chain_instances(max_n):
         V = _family_points(desc)
         acn = _family_ac(desc, symmetric)
         exact = acn.ac_max
@@ -385,6 +384,8 @@ SUITES = {
     "sharpness": "Explicit sharp covers match the exact optima",
     "binomial": "Certified strict binomial upper bounds",
     "szw": "The sharp vanishing polynomial of the level families",
+    "jamison": "Full affine spaces: closed-set search against exhaustive hyperplanes",
+    "chain": "The chain of lower bounds up to the exact cover numbers",
 }
 
 
@@ -395,6 +396,7 @@ def run_suite(name: str, max_n: int | None = None):
         return default if max_n is None else min(default, max_n)
 
     jnq_grid = tuple((n, q) for n, q in JNQ_GRID if max_n is None or n <= max_n)
+    ag_grid = tuple((n, q) for n, q in AG_GRID if max_n is None or n <= max_n)
     if name == "main":
         return check_vnk_standard_monomials(cap(6)) + check_separating_degrees(cap(5))
     if name == "main2":
@@ -409,4 +411,8 @@ def run_suite(name: str, max_n: int | None = None):
         return check_binomial_grid(cap(30))
     if name == "szw":
         return check_szw_polynomials(cap(5))
+    if name == "jamison":
+        return check_ag_jamison(ag_grid)
+    if name == "chain":
+        return check_bound_ordering(cap(4))
     raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")

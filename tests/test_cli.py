@@ -138,6 +138,15 @@ def test_solve_file_input(tmp_path, capsys):
     assert json.loads(out)["results"]["size"] == "2"
 
 
+def test_single_point_file_meets_the_mode_checks(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("field rational\ndim 2\npoint 1 2/3\n")
+    for argv in (("--point", "0"), ("--all",)):
+        code, out, err = run(capsys, "solve", str(path), *argv, "--mode", "hyperplanes")
+        assert code == 2 and out == ""
+        assert err == "error: exhaustive hyperplane enumeration needs a finite field\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("field rational\ndim 2\npoint 1\n")
@@ -204,6 +213,15 @@ def test_verify_max_n_caps_the_jnq_grid(capsys):
         names = [c["name"] for c in json.loads(out)["results"]["checks"]]
         assert any("jnq:2:" in name for name in names)
         assert not any("jnq:3:" in name for name in names)
+
+
+def test_verify_jamison_and_chain_suites_pass(capsys):
+    for suite in ("jamison", "chain"):
+        code, out, _ = run(capsys, "verify", suite, "--max-n", "2", "--json", "--no-timings")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["results"]["checks"]]
+        # each name ends in a family spec kind:n[:...]
+        assert names and all(int(name.split(":")[1]) <= 2 for name in names)
 
 
 def test_verify_selecting_no_checks_is_a_usage_error(capsys):

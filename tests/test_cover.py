@@ -150,6 +150,22 @@ def test_min_cover_single_point():
     V = qpoints([(2, 2)])
     sol = min_almost_cover(V, (QQ.scalar(2), QQ.scalar(2)))
     assert sol.size == 0 and sol.optimal and sol.hyperplanes == ()
+    W = PointSet.from_ints(GF(3), [(1, 2)])
+    for mode in ("closed", "hyperplanes"):
+        sol = min_almost_cover(W, W.points[0], mode=mode)
+        assert sol.size == 0 and sol.optimal and sol.hyperplanes == ()
+        assert ac_numbers(W, mode=mode).per_point == (0,)
+
+
+def test_single_point_meets_the_mode_checks():
+    V = qpoints([(2, 2)])
+    with pytest.raises(ValueError, match="finite field"):
+        min_almost_cover(V, V.points[0], mode="hyperplanes")
+    for W in (V, cube(2)):
+        with pytest.raises(ValueError, match="unknown solve mode"):
+            min_almost_cover(W, W.points[0], mode="bogus")
+        with pytest.raises(ValueError, match="unknown solve mode"):
+            ac_numbers(W, mode="bogus")
 
 
 def test_min_cover_rejects_outside_point():
@@ -427,6 +443,59 @@ def test_closed_traces_match_hyperplane_traces_gf3(rows):
     V = PointSet.from_ints(GF(3), rows)
     for v in V.points:
         assert trace_family(V, v).traces == hyperplane_trace_family(V, v).traces
+
+
+def reference_hyperplane_traces(V):
+    """Every canonical hyperplane tested on every point with ``contains``."""
+    field, n = V.field, V.dim
+    elements = [field.scalar(v) for v in range(field.p)]
+    first = {}
+    for lead in range(n):
+        for tail in itertools.product(elements, repeat=n - lead - 1):
+            normal = (field.zero(),) * lead + (field.one(),) + tail
+            for offset in elements:
+                H = Hyperplane(normal, offset)
+                mask = sum(1 << j for j, p in enumerate(V.points) if H.contains(p))
+                if mask and mask not in first:
+                    first[mask] = H
+    return first
+
+
+def assert_table_matches_reference(V):
+    # the first hyperplane of each trace is the hyperplanes-mode witness, so
+    # the order and the hyperplanes count, not only the keys
+    got = list(cover._hyperplane_traces(V).items())
+    assert got == list(reference_hyperplane_traces(V).items())
+
+
+@pytest.mark.parametrize(
+    "desc, field",
+    [
+        ("cube:3", GF(2)),
+        ("cube:3", GF(5)),
+        ("cube:4", GF(3)),
+        ("ag:2:5", None),
+        ("ag:3:3", None),
+        ("jnq:3:3", GF(5)),
+    ],
+)
+def test_hyperplane_table_matches_contains_on_families(desc, field):
+    assert_table_matches_reference(generate(FamilySpec.parse(desc, field)))
+
+
+@st.composite
+def small_gf_point_sets(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 3 if p < 5 else 2))
+    grid = list(itertools.product(range(p), repeat=n))
+    rows = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=12, unique=True))
+    return PointSet.from_ints(GF(p), rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_gf_point_sets())
+def test_hyperplane_table_matches_contains_on_random_sets(V):
+    assert_table_matches_reference(V)
 
 
 @st.composite

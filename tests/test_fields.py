@@ -73,12 +73,6 @@ def test_field_names_round_trip():
         parse_field_name("complex")
 
 
-def test_elements_enumeration():
-    assert [e.value for e in GF(3).elements()] == [0, 1, 2]
-    with pytest.raises(ValueError):
-        QQ.elements()
-
-
 def test_scalar_field_detection():
     assert scalar_field(Fraction(1)) == QQ
     assert scalar_field(GFElement(2, 7)) == GF(7)

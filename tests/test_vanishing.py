@@ -275,9 +275,10 @@ def assert_indicators_match_reference(V):
         assert all(scalar_field(c) == V.field for c in got.values())
 
 
-# (field, coordinates, largest dimension): 0-1 sets take the bitmask path of
-# the scan; sets fill more than half their grid, up to 30 points, so that
-# each point's reduction runs through many echelon rows
+# (field, coordinates, largest dimension): 0-1 grids give the scan's value
+# rows many zeros and square-free standard monomials, the others powers of
+# each coordinate; sets fill more than half their grid, up to 30 points, so
+# that each point's reduction runs through many echelon rows
 ORACLE_GRIDS = [
     (QQ, FRACTIONAL, 3),
     (QQ, (0, 1), 5),
