@@ -19,12 +19,9 @@ from .bounds import (
 from .cover import (
     ACNumbers,
     CoverSolution,
-    TraceFamily,
     ac_numbers,
-    hyperplane_trace_family,
     min_almost_cover,
     orbit_reduce,
-    trace_family,
     verify_cover,
 )
 from .errors import InvariantError, ParseError
@@ -68,7 +65,6 @@ __all__ = [
     "PointSet",
     "Polynomial",
     "QQ",
-    "TraceFamily",
     "ac_numbers",
     "affine_span",
     "ball_size",
@@ -81,7 +77,6 @@ __all__ = [
     "deglex_key",
     "generate",
     "hyperplane_containing_avoiding",
-    "hyperplane_trace_family",
     "load_pointset",
     "min_almost_cover",
     "orbit_reduce",
@@ -91,6 +86,5 @@ __all__ = [
     "sharp_cover_vnk",
     "symmetry_generators",
     "szw_sharp_polynomial",
-    "trace_family",
     "verify_cover",
 ]

@@ -143,7 +143,10 @@ def cmd_bound(args) -> int:
             point = V.points[args.point] if args.point is not None else None
             report = certificate_lower_bound(V, point)
         results[report.method] = _bound_payload(report)
-        chain[report.method] = report.value
+        # the chain bounds AC(V), so the certificate enters it as the set's
+        # maximum: with --point the value is that point's degree, which can
+        # sit below the counting bounds
+        chain[report.method] = report.details["max_sm_degree"] if method == "cert" else report.value
         lines.append(f"{report.method}: lower bound {report.value}")
         if report.certificate_point is not None:
             lines.append(f"  at point {V.format_point(report.certificate_point)}")

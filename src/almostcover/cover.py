@@ -38,37 +38,14 @@ from .linalg import (
 from .vanishing import buchberger_moller
 
 __all__ = [
-    "TraceFamily",
     "CoverSolution",
     "OrbitPartition",
     "ACNumbers",
-    "trace_family",
-    "hyperplane_trace_family",
     "min_almost_cover",
     "verify_cover",
     "orbit_reduce",
     "ac_numbers",
 ]
-
-
-@dataclass(frozen=True)
-class TraceFamily:
-    """Maximal candidate traces for covering V minus one excluded point.
-
-    ``masks`` holds the traces as bitmasks over the source set's point
-    indices, and ``traces`` the same traces as ascending index tuples; the
-    family is sorted by those tuples.  In exhaustive mode each trace
-    carries the hyperplane that produced it.
-    """
-
-    source: PointSet
-    excluded_index: int
-    masks: tuple
-    hyperplanes: tuple | None = None
-
-    @property
-    def traces(self):
-        return tuple(_indices(mask) for mask in self.masks)
 
 
 @dataclass(frozen=True)
@@ -179,20 +156,6 @@ def _coatom_masks(V: PointSet):
     return _sorted_by_indices(coatoms, m)
 
 
-def trace_family(V: PointSet, point, _coatoms=None) -> TraceFamily:
-    """The maximal affinely closed subsets of V avoiding the given point.
-
-    These are the coatoms of V's flat lattice that avoid the point.
-    ``_coatoms`` is ``_coatom_masks(V)`` when the caller already built it
-    for other points of V; otherwise it is built here.
-    """
-    v_idx = V.index_of(point)
-    coatoms = _coatom_masks(V) if _coatoms is None else _coatoms
-    bit = 1 << v_idx
-    masks = tuple(mask for mask in coatoms if not mask & bit)
-    return TraceFamily(source=V, excluded_index=v_idx, masks=masks)
-
-
 def _hyperplane_traces(V: PointSet):
     """Every distinct nonempty hyperplane trace on V, with its first hyperplane.
 
@@ -223,34 +186,6 @@ def _hyperplane_traces(V: PointSet):
                 if mask not in first:
                     first[mask] = Hyperplane.from_ints(field, normal, offset)
     return first
-
-
-def hyperplane_trace_family(V: PointSet, point, _table=None) -> TraceFamily:
-    """Traces of every hyperplane of a finite-field ambient space.
-
-    Only available over GF(p); keeps the nonempty hyperplane traces
-    avoiding the excluded point and prunes non-maximal ones.  It evaluates
-    hyperplanes directly and never enumerates coatoms, so it serves as an
-    independent check of the closed-set mode.  ``_table`` is V's
-    hyperplane trace table when the caller already built it for other
-    points of V; otherwise it is built here.
-    """
-    table = _hyperplane_traces(V) if _table is None else _table
-    v_idx = V.index_of(point)
-    bit = 1 << v_idx
-    # drop traces strictly inside another trace
-    candidates = sorted((mask for mask in table if not mask & bit), key=int.bit_count, reverse=True)
-    kept = []
-    for mask in candidates:
-        if not any(mask & k == mask for k in kept):
-            kept.append(mask)
-    masks = _sorted_by_indices(kept, len(V))
-    return TraceFamily(
-        source=V,
-        excluded_index=v_idx,
-        masks=masks,
-        hyperplanes=tuple(table[mask] for mask in masks),
-    )
 
 
 def _min_cover_over_masks(masks, nelements, floor, budget):
@@ -349,27 +284,50 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
 class _Work:
     """What the solves at the points of one set share, built once per (V, mode).
 
-    ``traces`` is V's coatom list (closed mode) or hyperplane trace table
-    (hyperplanes mode), and ``data`` its Groebner data.  ``witnesses`` maps
-    a coatom's mask to its witness hyperplane: the span of a coatom T is a
-    hyperplane of aff(V), so a hyperplane through it either contains aff(V)
-    or meets V in T alone, and the first candidate that misses one point
-    outside T misses them all.  ``hits`` maps a hyperplane to its
+    The solve mode is decided here and nowhere else.  ``data`` is V's
+    Groebner data, and ``witnesses`` maps a trace's mask to its witness
+    hyperplane.  In closed mode ``coatoms`` is V's coatom list and
+    ``witnesses`` fills as coatoms are first chosen: the span of a coatom T
+    is a hyperplane of aff(V), so a hyperplane through it either contains
+    aff(V) or meets V in T alone, and the first candidate that misses one
+    point outside T misses them all.  In hyperplanes mode ``witnesses`` is
+    V's hyperplane trace table, which already holds every trace's first
+    hyperplane, and ``coatoms`` is None.  ``hits`` maps a hyperplane to its
     ``contains`` test at each point of V, None where not yet asked.
     """
 
-    __slots__ = ("traces", "data", "witnesses", "hits")
+    __slots__ = ("npoints", "coatoms", "data", "witnesses", "hits")
 
     def __init__(self, V: PointSet, mode):
         if mode == "closed":
-            self.traces = _coatom_masks(V)
+            self.coatoms = _coatom_masks(V)
+            self.witnesses = {}
         elif mode == "hyperplanes":
-            self.traces = _hyperplane_traces(V)
+            self.coatoms = None
+            self.witnesses = _hyperplane_traces(V)
         else:
             raise ValueError(f"unknown solve mode {mode!r}")
+        self.npoints = len(V)
         self.data = buchberger_moller(V)
-        self.witnesses = {}
         self.hits = {}
+
+    def traces(self, v_idx):
+        """The maximal traces avoiding point ``v_idx``, as masks by ascending index tuple.
+
+        In closed mode they are the coatoms avoiding the point.  In
+        hyperplanes mode they are read off the hyperplane table alone, so
+        they share no code with the coatom enumeration and check it.
+        """
+        bit = 1 << v_idx
+        if self.coatoms is not None:
+            return [mask for mask in self.coatoms if not mask & bit]
+        # drop traces strictly inside another trace
+        candidates = sorted((mask for mask in self.witnesses if not mask & bit), key=int.bit_count, reverse=True)
+        kept = []
+        for mask in candidates:
+            if not any(mask & k == mask for k in kept):
+                kept.append(mask)
+        return _sorted_by_indices(kept, self.npoints)
 
 
 def realize_trace(V: PointSet, point, trace) -> Hyperplane:
@@ -387,42 +345,31 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None)
     """Exact smallest almost cover of (V, point), with witness hyperplanes.
 
     ``_work`` is V's shared work (see ``_Work``) when the caller already
-    built it for other points of V; otherwise it is built here.  Each
-    coatom's witness is realized once per ``_work`` and reused at every
-    excluded point outside the coatom.
+    built it for other points of V; otherwise it is built here, and a bad
+    mode is refused there.  A chosen trace's witness comes from the work's
+    witness map; only a coatom not chosen before is realized, once per
+    ``_work``, and reused at every excluded point outside it.
     """
     v_idx = V.index_of(point)
     v_pt = V.points[v_idx]
-    # built first, so that a single point meets the mode checks too
     work = _Work(V, mode) if _work is None else _work
-    if len(V) == 1:
-        return CoverSolution(
-            excluded=v_pt, size=0, hyperplanes=(), lower_bound_used=0, optimal=True
-        )
-    if mode == "closed":
-        family = trace_family(V, v_pt, work.traces)
-    else:
-        family = hyperplane_trace_family(V, v_pt, work.traces)
+    traces = work.traces(v_idx)
     floor = work.data.separating_degree(v_pt)
     # the search runs over V minus v, so drop v's bit from every trace
-    nelements = len(V) - 1
     low = (1 << v_idx) - 1
-    masks = [mask & low | mask >> 1 & ~low for mask in family.masks]
-    chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, budget)
-    if family.hyperplanes is not None:
-        witnesses = tuple(family.hyperplanes[i] for i in chosen)
-    else:
-        witnesses = []
-        for i in chosen:
-            mask = family.masks[i]
-            H = work.witnesses.get(mask)
-            if H is None:
-                H = work.witnesses[mask] = realize_trace(V, v_pt, _indices(mask))
-            witnesses.append(H)
-        witnesses = tuple(witnesses)
+    masks = [mask & low | mask >> 1 & ~low for mask in traces]
+    chosen, optimal, nodes = _min_cover_over_masks(masks, len(V) - 1, floor, budget)
+    witnesses = []
+    for i in chosen:
+        mask = traces[i]
+        H = work.witnesses.get(mask)
+        if H is None:
+            H = work.witnesses[mask] = realize_trace(V, v_pt, _indices(mask))
+        witnesses.append(H)
+    witnesses = tuple(witnesses)
     if not verify_cover(V, v_pt, witnesses, work.hits):
         raise InvariantError("solver produced an invalid cover")
-    if optimal and len(chosen) < floor:
+    if len(chosen) < floor:
         raise InvariantError("solver undercut the certificate lower bound")
     return CoverSolution(
         excluded=v_pt,

@@ -2,6 +2,9 @@ import json
 
 from almostcover import cover
 from almostcover.cli import SCALE_NOTE, main
+from almostcover.vanishing import GroebnerData
+
+from test_cover import through_the_point
 
 CUBE2_FILE = "field rational\ndim 2\npoint 0 0\npoint 0 1\npoint 1 0\npoint 1 1\n"
 
@@ -82,6 +85,21 @@ def test_bound_all_reports_chain(capsys):
     doc = json.loads(out)
     assert doc["results"]["ordering_chain"]["holds"] is True
     assert "cor_e" in doc["results"]
+
+
+def test_bound_point_chain_ends_at_the_set_certificate(capsys):
+    # the point's degree (1) sits below the counting bounds (2); the chain
+    # bounds AC(V), so it ends at the set's certificate instead
+    for spec, point in (("vnkt:3:1:1,2", "3"), ("vnkt:4:1:1,2,3", "4")):
+        code, out, err = run(
+            capsys, "bound", "--family", spec, "--point", point, "--json", "--no-timings"
+        )
+        assert code == 0 and err == ""
+        results = json.loads(out)["results"]
+        assert results["certificate"]["value"] == "1"
+        chain = results["ordering_chain"]
+        assert chain["holds"] is True
+        assert chain["values"][-1] == results["certificate"]["details"]["max_sm_degree"] == "2"
 
 
 def test_bound_cube_rejects_non_01(capsys):
@@ -170,6 +188,21 @@ def test_out_of_memory_exits_3_with_one_error_line(monkeypatch, capsys):
         assert code == 3
         assert out == ""
         assert err.splitlines() == [f"error: out of memory. {SCALE_NOTE}"]
+
+
+def test_solver_invariants_exit_3_with_one_error_line(monkeypatch, capsys):
+    breaks = (
+        (cover, "realize_trace", through_the_point, "solver produced an invalid cover"),
+        (GroebnerData, "separating_degree", lambda self, point: 99,
+         "solver undercut the certificate lower bound"),
+    )
+    for owner, name, broken, message in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, broken)
+            for argv in (("--point", "0"), ("--all",)):
+                code, out, err = run(capsys, "solve", "--family", "cube:3", *argv)
+                assert code == 3 and out == ""
+                assert err.splitlines() == [f"internal error: {message}"]
 
 
 def test_bad_family_exit_code(capsys):

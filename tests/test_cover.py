@@ -8,11 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from almostcover import cover
 from almostcover.cover import (
     ac_numbers,
-    hyperplane_trace_family,
     min_almost_cover,
     orbit_reduce,
     realize_trace,
-    trace_family,
     verify_cover,
 )
 from almostcover.cover import _min_cover_over_masks
@@ -20,7 +18,7 @@ from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate, symmetry_generators
 from almostcover.fields import GF, QQ
 from almostcover.linalg import AffineMap, Hyperplane, PointSet, affine_span
-from almostcover.vanishing import buchberger_moller
+from almostcover.vanishing import GroebnerData, buchberger_moller
 
 
 def qpoints(rows):
@@ -35,14 +33,19 @@ def as_points(V, trace):
     return [V.points[j] for j in trace]
 
 
+def traces_avoiding(V, v, mode="closed"):
+    """The maximal traces avoiding v that the solve at v searches, as index tuples."""
+    return tuple(cover._indices(mask) for mask in cover._Work(V, mode).traces(V.index_of(v)))
+
+
 def brute_force_size(V, v):
     """Independent oracle: smallest subfamily of traces covering V minus v."""
-    fam = trace_family(V, v)
-    others = [j for j in range(len(V)) if j != fam.excluded_index]
+    v_idx = V.index_of(v)
+    others = [j for j in range(len(V)) if j != v_idx]
     if not others:
         return 0
     pos = {j: i for i, j in enumerate(others)}
-    masks = [sum(1 << pos[j] for j in t) for t in fam.traces]
+    masks = [sum(1 << pos[j] for j in t) for t in traces_avoiding(V, v)]
     return combinations_minimum(masks, len(others))
 
 
@@ -61,9 +64,9 @@ def combinations_minimum(masks, nelements):
 
 def test_trace_family_cube2():
     V = cube(2)
-    fam = trace_family(V, (QQ.scalar(0), QQ.scalar(0)))
-    got = [tuple(tuple(x) for x in as_points(V, t)) for t in fam.traces]
-    assert len(fam.traces) == 3
+    traces = traces_avoiding(V, (QQ.scalar(0), QQ.scalar(0)))
+    got = [tuple(tuple(x) for x in as_points(V, t)) for t in traces]
+    assert len(traces) == 3
     expected_sets = {
         frozenset({(0, 1), (1, 1)}),
         frozenset({(1, 0), (1, 1)}),
@@ -77,14 +80,12 @@ def test_trace_family_cube2():
 
 def test_trace_family_collinear_middle():
     V = qpoints([(0, 0), (1, 1), (2, 2)])
-    fam = trace_family(V, (QQ.scalar(1), QQ.scalar(1)))
-    assert fam.traces == ((0,), (2,))
+    assert traces_avoiding(V, (QQ.scalar(1), QQ.scalar(1))) == ((0,), (2,))
 
 
 def test_trace_family_single_point():
     V = qpoints([(3, 4)])
-    fam = trace_family(V, (QQ.scalar(3), QQ.scalar(4)))
-    assert fam.traces == ()
+    assert traces_avoiding(V, (QQ.scalar(3), QQ.scalar(4))) == ()
 
 
 def test_trace_family_properties():
@@ -95,10 +96,10 @@ def test_trace_family_properties():
     ]
     for V in sets:
         for v in (V.points[0], V.points[-1]):
-            fam = trace_family(V, v)
-            v_idx = fam.excluded_index
+            traces = traces_avoiding(V, v)
+            v_idx = V.index_of(v)
             covered = set()
-            for trace in fam.traces:
+            for trace in traces:
                 assert v_idx not in trace
                 covered.update(trace)
                 pts = as_points(V, trace)
@@ -116,8 +117,8 @@ def test_trace_family_properties():
                 assert not H.contains(v)
             assert covered == set(range(len(V))) - {v_idx}
             # pairwise incomparable
-            for a in fam.traces:
-                for b in fam.traces:
+            for a in traces:
+                for b in traces:
                     if a != b:
                         assert not set(a) <= set(b)
 
@@ -168,6 +169,52 @@ def test_single_point_meets_the_mode_checks():
             ac_numbers(W, mode="bogus")
 
 
+def through_the_point(V, point, trace):
+    """A wrong witness: the hyperplane x1 = v1, which holds the excluded point."""
+    return Hyperplane((V.field.one(),) + (V.field.zero(),) * (V.dim - 1), point[0])
+
+
+def test_a_witness_through_the_excluded_point_is_caught(monkeypatch):
+    monkeypatch.setattr(cover, "realize_trace", through_the_point)
+    V = cube(3)
+    with pytest.raises(InvariantError, match="solver produced an invalid cover"):
+        min_almost_cover(V, V.points[0])
+
+
+def test_a_cover_below_the_certificate_is_caught(monkeypatch):
+    # a floor above every greedy size: greedy stops at once and the
+    # undercut check is what refuses its cover
+    monkeypatch.setattr(GroebnerData, "separating_degree", lambda self, point: 99)
+    V = generate(FamilySpec.parse("cube:3", GF(3)))
+    for mode in ("closed", "hyperplanes"):
+        with pytest.raises(InvariantError, match="solver undercut the certificate lower bound"):
+            min_almost_cover(V, V.points[0], mode=mode)
+
+
+def test_hyperplanes_mode_takes_every_witness_from_the_table(monkeypatch):
+    def never(*args):
+        raise AssertionError("realize_trace called in hyperplanes mode")
+
+    monkeypatch.setattr(cover, "realize_trace", never)
+    for V in (generate(FamilySpec.parse("ag:2:3")), generate(FamilySpec.parse("cube:3", GF(5)))):
+        table = cover._hyperplane_traces(V)
+        numbers = ac_numbers(V, mode="hyperplanes")
+        witnesses = [H for sol in numbers.solutions.values() for H in sol.hyperplanes]
+        assert witnesses
+        for H in witnesses:
+            mask = sum(1 << j for j, p in enumerate(V.points) if H.contains(p))
+            assert table[mask] == H
+
+
+@pytest.mark.parametrize("module", ["almostcover", "almostcover.cover"])
+def test_every_exported_name_resolves(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    exported = __import__(module, fromlist=["__all__"]).__all__
+    assert len(set(exported)) == len(exported)
+    assert all(name in namespace for name in exported)
+
+
 def test_min_cover_rejects_outside_point():
     with pytest.raises(ValueError):
         min_almost_cover(cube(2), (QQ.scalar(5), QQ.scalar(5)))
@@ -186,7 +233,7 @@ def test_exhaustive_mode_matches_closed_mode():
 
 def test_exhaustive_mode_needs_finite_field():
     with pytest.raises(ValueError):
-        hyperplane_trace_family(cube(2), (QQ.scalar(0), QQ.scalar(0)))
+        traces_avoiding(cube(2), (QQ.scalar(0), QQ.scalar(0)), "hyperplanes")
 
 
 def reference_min_cover(masks, nelements, floor, budget):
@@ -390,8 +437,7 @@ def test_trace_family_matches_naive_enumeration():
         size = rng.randint(1, min(7, len(grid)))
         V = PointSet.from_ints(field, rng.sample(grid, size))
         for v in V.points:
-            fam = trace_family(V, v)
-            assert fam.traces == naive_trace_family(V, v)
+            assert traces_avoiding(V, v) == naive_trace_family(V, v)
 
 
 # coordinates no named family or benchmark set has: fractions, negatives,
@@ -415,7 +461,7 @@ def kernel_point_sets(draw, fields=(QQ, MERSENNE)):
 @given(kernel_point_sets())
 def test_trace_family_matches_naive_on_fractional_and_large_prime_sets(V):
     for v in V.points:
-        assert trace_family(V, v).traces == naive_trace_family(V, v)
+        assert traces_avoiding(V, v) == naive_trace_family(V, v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,7 +473,7 @@ def test_trace_family_matches_naive_on_fractional_and_large_prime_sets(V):
 def test_trace_family_invariant_under_fractional_affine_map(V, c, shift):
     W = PointSet(QQ, V.dim, [tuple(c * x + t for x, t in zip(p, shift)) for p in V.points])
     for v, w in zip(V.points, W.points):
-        assert trace_family(W, w).traces == trace_family(V, v).traces
+        assert traces_avoiding(W, w) == traces_avoiding(V, v)
 
 
 gf3_grids = {n: list(itertools.product(range(3), repeat=n)) for n in (1, 2)}
@@ -442,7 +488,7 @@ def test_closed_traces_match_hyperplane_traces_gf3(rows):
     # agreement at every excluded point checks one against the other
     V = PointSet.from_ints(GF(3), rows)
     for v in V.points:
-        assert trace_family(V, v).traces == hyperplane_trace_family(V, v).traces
+        assert traces_avoiding(V, v) == traces_avoiding(V, v, "hyperplanes")
 
 
 def reference_hyperplane_traces(V):
@@ -516,7 +562,7 @@ def test_every_trace_is_a_maximal_hyperplane_trace(V):
     # checked through spans and hyperplanes on field scalars, which share no
     # code with the lattice, on sets past the naive oracle's reach
     for v in V.points:
-        for trace in trace_family(V, v).traces:
+        for trace in traces_avoiding(V, v):
             H = realize_trace(V, v, trace)
             assert not H.contains(v)
             assert tuple(j for j, p in enumerate(V.points) if H.contains(p)) == trace
@@ -547,7 +593,7 @@ def test_traces_are_every_coatom_avoiding_the_point_once(V):
         if span.dim == d - 1:
             coatoms.add(tuple(j for j, p in enumerate(V.points) if span.contains(p)))
     for v_idx, v in enumerate(V.points):
-        traces = trace_family(V, v).traces
+        traces = traces_avoiding(V, v)
         assert len(set(traces)) == len(traces)
         assert set(traces) == {c for c in coatoms if v_idx not in c}
         assert traces == tuple(sorted(traces))
@@ -558,12 +604,12 @@ def test_hyperplane_enumeration_counts():
     for p, n in [(2, 2), (3, 2), (2, 3)]:
         F = GF(p)
         V = PointSet.from_ints(F, list(itertools.product(range(p), repeat=n)))
-        fam = hyperplane_trace_family(V, V.points[0])
+        traces = traces_avoiding(V, V.points[0], "hyperplanes")
         # every trace of the full space is a hyperplane with p^(n-1) points
-        assert all(len(t) == p ** (n - 1) for t in fam.traces)
+        assert all(len(t) == p ** (n - 1) for t in traces)
         total = (p**n - 1) // (p - 1) * p
         through_v = (p**n - 1) // (p - 1)
-        assert len(fam.traces) == total - through_v
+        assert len(traces) == total - through_v
 
 
 def test_orbit_reduce_cube_transitive():
