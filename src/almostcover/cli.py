@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
         "passed": sum(1 for c in checks if c.passed),
         "failed": sum(1 for c in checks if not c.passed),
     }
-    lines = [f"suite {args.suite}: {SUITES[args.suite]}"]
+    lines = [f"suite {args.suite}: {SUITES[args.suite][0]}"]
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         lines.append(f"{status} {c.name}" + (f" ({c.detail})" if c.detail else ""))

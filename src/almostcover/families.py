@@ -28,7 +28,16 @@ from .fields import GF, QQ, Field
 from .linalg import AffineMap, Hyperplane, PointSet
 from .polyring import Polynomial
 
-FAMILY_KINDS = ("cube", "vnk", "vnkt", "jnq", "inq", "perm", "ag")
+# kind -> its arguments in spec order; T is a comma-separated index list
+FAMILY_ARGS = {
+    "cube": ("n",),
+    "vnk": ("n", "k"),
+    "vnkt": ("n", "k", "T"),
+    "jnq": ("n", "q"),
+    "inq": ("n", "q"),
+    "perm": ("n",),
+    "ag": ("n", "q"),
+}
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,7 @@ class FamilySpec:
     field: Field = QQ
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILY_ARGS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
@@ -73,56 +82,42 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str, field: Field | None = None) -> "FamilySpec":
-        parts = text.strip().split(":")
-        kind = parts[0]
-        args = parts[1:]
+        kind, *args = text.strip().split(":")
+        names = FAMILY_ARGS.get(kind)
+        if names is None:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if len(args) > len(names):
+            raise ValueError(f"too many arguments in family spec {text.strip()!r}")
+        if "T" in names and len(args) < len(names):
+            raise ValueError("vnkt needs n, k and T, e.g. vnkt:3:1:1,2")
 
-        def arg_int(i, name):
+        def value(i):
+            name = names[i]
             if i >= len(args):
                 raise ValueError(f"family {kind!r} is missing its {name} argument")
             try:
+                if name == "T":
+                    return tuple(sorted(int(x) for x in args[i].split(",")))
                 return int(args[i])
             except ValueError:
                 raise ValueError(f"bad {name} argument {args[i]!r} in family spec") from None
 
-        arity = {"cube": 1, "vnk": 2, "vnkt": 3, "jnq": 2, "inq": 2, "perm": 1, "ag": 2}
-        if len(args) > arity.get(kind, len(args)):
-            raise ValueError(f"too many arguments in family spec {text.strip()!r}")
-        if kind == "cube":
-            return cls("cube", arg_int(0, "n"), field=field or QQ)
-        if kind == "vnk":
-            return cls("vnk", arg_int(0, "n"), k=arg_int(1, "k"), field=field or QQ)
-        if kind == "vnkt":
-            if len(args) < 3:
-                raise ValueError("vnkt needs n, k and T, e.g. vnkt:3:1:1,2")
-            try:
-                t = tuple(sorted(int(x) for x in args[2].split(",")))
-            except ValueError:
-                raise ValueError(f"bad T argument {args[2]!r} in family spec") from None
-            return cls("vnkt", arg_int(0, "n"), k=arg_int(1, "k"), t=t, field=field or QQ)
-        if kind in ("jnq", "inq"):
-            return cls(kind, arg_int(0, "n"), q=arg_int(1, "q"), field=field or QQ)
-        if kind == "perm":
-            return cls("perm", arg_int(0, "n"), field=field or QQ)
+        # T is read first, so a bad T is reported before a bad n or k
+        order = sorted(range(len(names)), key=lambda i: names[i] != "T")
+        values = {names[i].lower(): value(i) for i in order}
         if kind == "ag":
-            n, q = arg_int(0, "n"), arg_int(1, "q")
+            n, q = values["n"], values["q"]
             if field is not None and (field.is_rational or field.p != q):
                 raise ValueError(f"ag:{n}:{q} must use GF({q})")
-            return cls("ag", n, q=q, field=GF(q))
-        raise ValueError(f"unknown family kind {kind!r}")
+            field = GF(q)
+        return cls(kind, field=field or QQ, **values)
 
     def describe(self) -> str:
-        if self.kind == "cube":
-            return f"cube:{self.n}"
-        if self.kind == "vnk":
-            return f"vnk:{self.n}:{self.k}"
-        if self.kind == "vnkt":
-            return f"vnkt:{self.n}:{self.k}:{','.join(map(str, self.t))}"
-        if self.kind in ("jnq", "inq"):
-            return f"{self.kind}:{self.n}:{self.q}"
-        if self.kind == "perm":
-            return f"perm:{self.n}"
-        return f"ag:{self.n}:{self.q}"
+        def text(name):
+            value = getattr(self, name.lower())
+            return ",".join(map(str, value)) if name == "T" else str(value)
+
+        return ":".join([self.kind, *map(text, FAMILY_ARGS[self.kind])])
 
 
 def expected_size(spec: FamilySpec) -> int:

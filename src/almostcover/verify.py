@@ -1,14 +1,18 @@
 """Verification suites tying the solvers to the known exact values.
 
-Each check function returns a list of CheckResult records; the CLI's
-``verify`` command groups them into named suites and the acceptance tests
-run them all.  Exact cover computations are memoized per family so that
-overlapping suites do not redo the expensive searches.
+Each check function returns a list of CheckResult records; ``SUITES``
+groups them into the named suites of the CLI's ``verify`` command, and the
+acceptance tests run them all.  Every check takes one cap, ``max_n``: it
+keeps only its families of dimension at most ``max_n`` (for the binomial
+grid, the n of the grid), so ``verify --max-n N`` caps every suite.  Exact
+cover computations are memoized per family so that overlapping suites do
+not redo the expensive searches.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +24,7 @@ from .bounds import (
     counting_lower_bound,
     cube_counting_lower_bound,
 )
-from .cover import ac_numbers, min_almost_cover, orbit_reduce, verify_cover
+from .cover import ac_numbers, orbit_reduce, verify_cover
 from .families import FamilySpec, generate, sharp_cover_vnk, symmetry_generators, szw_sharp_polynomial
 from .fields import QQ
 from .linalg import PointSet
@@ -57,17 +61,11 @@ def _family_ac(desc: str, symmetric: bool = False):
     return ac_numbers(V, generators=gens)
 
 
-@lru_cache(maxsize=None)
-def _family_point_cover(desc: str, idx: int):
-    V = _family_points(desc)
-    return min_almost_cover(V, V.points[idx])
-
-
-def check_vnk_standard_monomials(max_n: int = 6):
+def check_vnk_standard_monomials(max_n: float = math.inf):
     """Standard monomials of vnk:n:k are exactly the square-free ones of
     degree at most k, in increasing deglex order."""
     results = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(6, max_n) + 1):
         for k in range(n):
             data = _family_groebner(f"vnk:{n}:{k}")
             expected = []
@@ -86,11 +84,11 @@ def check_vnk_standard_monomials(max_n: int = 6):
     return results
 
 
-def check_separating_degrees(max_n: int = 5):
+def check_separating_degrees(max_n: float = math.inf):
     """Adding one outside cube vertex to vnk:n:k makes its separating degree
     exactly k+1, via one extra standard monomial supported inside the vertex."""
     results = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(5, max_n) + 1):
         for k in range(n):
             base = _family_points(f"vnk:{n}:{k}")
             base_sm = set(_family_groebner(f"vnk:{n}:{k}").sm)
@@ -127,12 +125,12 @@ def check_separating_degrees(max_n: int = 5):
     return results
 
 
-def check_vnk_cover_sharpness(max_n: int = 4):
+def check_vnk_cover_sharpness(max_n: float = math.inf):
     """The level hyperplanes are an optimal almost cover of vnk at the origin
     and the exact maximum cover number is k; the 0-1 counting bound jumps to
     k+1 one point past the family size."""
     results = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(4, max_n) + 1):
         for k in range(n):
             desc = f"vnk:{n}:{k}"
             V = _family_points(desc)
@@ -152,11 +150,11 @@ def check_vnk_cover_sharpness(max_n: int = 4):
     return results
 
 
-def check_cube_alon_furedi(max_n: int = 4):
+def check_cube_alon_furedi(max_n: float = math.inf):
     """Every cube vertex needs exactly n hyperplanes, matching the counting
     bound at full size."""
     results = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(4, max_n) + 1):
         desc = f"cube:{n}"
         acn = _family_ac(desc)
         ok = acn.optimal and all(v == n for v in acn.per_point)
@@ -174,11 +172,13 @@ def check_cube_alon_furedi(max_n: int = 4):
 JNQ_GRID = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
 
 
-def check_jnq_sharpness(grid=JNQ_GRID):
+def check_jnq_sharpness(max_n: float = math.inf):
     """The non-decreasing-sequence families have exact cover number q-1 and
     sit exactly on the counting bound's boundary."""
     results = []
-    for n, q in grid:
+    for n, q in JNQ_GRID:
+        if n > max_n:
+            continue
         desc = f"jnq:{n}:{q}"
         acn = _family_ac(desc)
         ok_exact = acn.optimal and acn.ac_max == q - 1 and acn.ac_min == q - 1
@@ -196,11 +196,13 @@ def check_jnq_sharpness(grid=JNQ_GRID):
 AG_GRID = ((2, 2), (2, 3), (3, 2))
 
 
-def check_ag_jamison(grid=AG_GRID):
+def check_ag_jamison(max_n: float = math.inf):
     """Full affine spaces need (q-1)n hyperplanes at every point, and the
     closed-set search agrees with exhaustive hyperplane enumeration."""
     results = []
-    for n, q in grid:
+    for n, q in AG_GRID:
+        if n > max_n:
+            continue
         desc = f"ag:{n}:{q}"
         V = _family_points(desc)
         expected = (q - 1) * n
@@ -227,7 +229,7 @@ def check_ag_jamison(grid=AG_GRID):
     return results
 
 
-def check_permutohedron(max_n: int = 4):
+def check_permutohedron(max_n: float = math.inf):
     """Permutation-vertex families have the expected constant cover number:
     3 for three coordinates, 6 for four."""
     results = []
@@ -238,11 +240,10 @@ def check_permutohedron(max_n: int = 4):
             _result("permutohedron perm:3", ok, f"per-point values {sorted(set(acn.per_point))}")
         )
     if max_n >= 4:
-        spec = FamilySpec.parse("perm:4")
         V = _family_points("perm:4")
-        partition = orbit_reduce(V, symmetry_generators(spec))
-        first = _family_point_cover("perm:4", 0)
-        second = _family_point_cover("perm:4", 1)
+        partition = orbit_reduce(V, symmetry_generators(FamilySpec.parse("perm:4")))
+        solutions = _family_ac("perm:4").solutions
+        first, second = solutions[0], solutions[1]
         ok = (
             partition.is_transitive
             and first.optimal
@@ -259,16 +260,19 @@ def check_permutohedron(max_n: int = 4):
     return results
 
 
-def check_orbit_constancy():
+def check_orbit_constancy(max_n: float = math.inf):
     """Transitive symmetry makes per-point cover numbers constant; checked by
-    independent solves on families with a declared symmetry group."""
+    solving every point, without the symmetry, on families with a declared
+    symmetry group."""
     results = []
     for desc in ("cube:2", "cube:3", "ag:2:3", "perm:3"):
         spec = FamilySpec.parse(desc)
-        V = _family_points(desc)
-        partition = orbit_reduce(V, symmetry_generators(spec))
-        values = {min_almost_cover(V, V.points[idx]).size for idx in (0, len(V) - 1)}
-        ok = partition.is_transitive and len(values) == 1
+        if spec.n > max_n:
+            continue
+        partition = orbit_reduce(_family_points(desc), symmetry_generators(spec))
+        acn = _family_ac(desc)
+        values = set(acn.per_point)
+        ok = acn.optimal and partition.is_transitive and len(values) == 1
         results.append(
             _result(
                 f"orbit-constancy {desc}",
@@ -281,7 +285,7 @@ def check_orbit_constancy():
 
 def _chain_instances(max_n):
     specs = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(4, max_n) + 1):
         for k in range(n):
             specs.append((f"vnk:{n}:{k}", False))
         specs.append((f"cube:{n}", False))
@@ -292,7 +296,7 @@ def _chain_instances(max_n):
     return specs
 
 
-def check_bound_ordering(max_n: int = 4):
+def check_bound_ordering(max_n: float = math.inf):
     """On every verified family the bounds form the expected chain:
     e-based <= counting <= 0-1 counting <= certificate <= exact, with
     certificate equality on the sharp families."""
@@ -324,8 +328,9 @@ def check_bound_ordering(max_n: int = 4):
     return results
 
 
-def check_binomial_grid(max_n: int = 30):
+def check_binomial_grid(max_n: float = math.inf):
     """Both strict binomial inequalities certify for every 1 <= k <= n."""
+    max_n = min(30, max_n)
     results = []
     bad = []
     for n in range(1, max_n + 1):
@@ -351,11 +356,11 @@ def check_binomial_grid(max_n: int = 30):
     return results
 
 
-def check_szw_polynomials(max_n: int = 5):
+def check_szw_polynomials(max_n: float = math.inf):
     """The product of level forms reduces to zero over vnk and is nonzero at
     every other cube vertex."""
     results = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(5, max_n) + 1):
         for k in range(n):
             f = szw_sharp_polynomial(n, k)
             data = _family_groebner(f"vnk:{n}:{k}")
@@ -376,43 +381,27 @@ def check_szw_polynomials(max_n: int = 5):
     return results
 
 
+# suite -> (description, checks run in order)
 SUITES = {
-    "main": "Separating degrees and standard monomial structure of the 0-1 families",
-    "main2": "Counting bound sharpness on the non-decreasing-sequence families",
-    "main3": "0-1 counting bound sharpness: level covers and the cube",
-    "main4": "Constancy of per-point cover numbers under transitive symmetry",
-    "sharpness": "Explicit sharp covers match the exact optima",
-    "binomial": "Certified strict binomial upper bounds",
-    "szw": "The sharp vanishing polynomial of the level families",
-    "jamison": "Full affine spaces: closed-set search against exhaustive hyperplanes",
-    "chain": "The chain of lower bounds up to the exact cover numbers",
+    "main": ("Separating degrees and standard monomial structure of the 0-1 families",
+             (check_vnk_standard_monomials, check_separating_degrees)),
+    "main2": ("Counting bound sharpness on the non-decreasing-sequence families", (check_jnq_sharpness,)),
+    "main3": ("0-1 counting bound sharpness: level covers and the cube",
+              (check_vnk_cover_sharpness, check_cube_alon_furedi)),
+    "main4": ("Constancy of per-point cover numbers under transitive symmetry",
+              (check_orbit_constancy, check_permutohedron)),
+    "sharpness": ("Explicit sharp covers match the exact optima",
+                  (check_vnk_cover_sharpness, check_jnq_sharpness)),
+    "binomial": ("Certified strict binomial upper bounds", (check_binomial_grid,)),
+    "szw": ("The sharp vanishing polynomial of the level families", (check_szw_polynomials,)),
+    "jamison": ("Full affine spaces: closed-set search against exhaustive hyperplanes", (check_ag_jamison,)),
+    "chain": ("The chain of lower bounds up to the exact cover numbers", (check_bound_ordering,)),
 }
 
 
 def run_suite(name: str, max_n: int | None = None):
-    """All checks of one suite, honouring an optional grid cap."""
-
-    def cap(default):
-        return default if max_n is None else min(default, max_n)
-
-    jnq_grid = tuple((n, q) for n, q in JNQ_GRID if max_n is None or n <= max_n)
-    ag_grid = tuple((n, q) for n, q in AG_GRID if max_n is None or n <= max_n)
-    if name == "main":
-        return check_vnk_standard_monomials(cap(6)) + check_separating_degrees(cap(5))
-    if name == "main2":
-        return check_jnq_sharpness(jnq_grid)
-    if name == "main3":
-        return check_vnk_cover_sharpness(cap(4)) + check_cube_alon_furedi(cap(4))
-    if name == "main4":
-        return check_orbit_constancy() + check_permutohedron(cap(4))
-    if name == "sharpness":
-        return check_vnk_cover_sharpness(cap(4)) + check_jnq_sharpness(jnq_grid)
-    if name == "binomial":
-        return check_binomial_grid(cap(30))
-    if name == "szw":
-        return check_szw_polynomials(cap(5))
-    if name == "jamison":
-        return check_ag_jamison(ag_grid)
-    if name == "chain":
-        return check_bound_ordering(cap(4))
-    raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
+    """All checks of one suite, each capped at dimension ``max_n`` if given."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
+    cap = math.inf if max_n is None else max_n
+    return [result for check in SUITES[name][1] for result in check(cap)]

@@ -2,7 +2,9 @@ import json
 
 from almostcover import cover
 from almostcover.cli import SCALE_NOTE, main
+from almostcover.families import FamilySpec
 from almostcover.vanishing import GroebnerData
+from almostcover.verify import SUITES
 
 from test_cover import through_the_point
 
@@ -248,17 +250,23 @@ def test_verify_max_n_caps_the_jnq_grid(capsys):
         assert not any("jnq:3:" in name for name in names)
 
 
-def test_verify_jamison_and_chain_suites_pass(capsys):
-    for suite in ("jamison", "chain"):
+def test_verify_max_n_caps_every_family_suite(capsys):
+    # binomial's checks name the grid's n, not a family
+    for suite in (name for name in SUITES if name != "binomial"):
         code, out, _ = run(capsys, "verify", suite, "--max-n", "2", "--json", "--no-timings")
-        assert code == 0
+        assert code == 0, suite
         names = [c["name"] for c in json.loads(out)["results"]["checks"]]
         # each name ends in a family spec kind:n[:...]
-        assert names and all(int(name.split(":")[1]) <= 2 for name in names)
+        assert names and all(FamilySpec.parse(name.split()[-1]).n <= 2 for name in names), suite
 
 
 def test_verify_selecting_no_checks_is_a_usage_error(capsys):
-    for argv in (("main", "--max-n", "0"), ("szw", "--max-n", "-1"), ("main2", "--max-n", "1")):
+    for argv in (
+        ("main", "--max-n", "0"),
+        ("szw", "--max-n", "-1"),
+        ("main2", "--max-n", "1"),
+        ("main4", "--max-n", "1"),
+    ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")

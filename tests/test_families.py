@@ -1,10 +1,12 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
 from almostcover.cover import orbit_reduce, verify_cover
 from almostcover.families import (
+    FAMILY_ARGS,
     FamilySpec,
     expected_size,
     generate,
@@ -75,10 +77,57 @@ def test_family_validation():
     for t in ("a", "1,,2", "1,2,"):
         with pytest.raises(ValueError, match=f"bad T argument '{t}'"):
             FamilySpec.parse(f"vnkt:3:1:{t}")
+    with pytest.raises(ValueError, match="bad T argument 'a'"):
+        FamilySpec.parse("vnkt:x:1:a")  # T is read before n and k
     # surplus arguments are an error, not silently dropped
     for text in ("cube:2:5", "perm:3:9", "vnk:4:1:2", "vnkt:4:1:1,2:3", "ag:2:3:1"):
         with pytest.raises(ValueError, match=text):
             FamilySpec.parse(text)
+
+
+def test_missing_argument_messages():
+    messages = {
+        "cube": "family 'cube' is missing its n argument",
+        "vnk:3": "family 'vnk' is missing its k argument",
+        "vnkt:3": "vnkt needs n, k and T, e.g. vnkt:3:1:1,2",
+        "vnkt:3:1": "vnkt needs n, k and T, e.g. vnkt:3:1:1,2",
+        "jnq:2": "family 'jnq' is missing its q argument",
+        "inq:2": "family 'inq' is missing its q argument",
+        "perm": "family 'perm' is missing its n argument",
+        "ag:2": "family 'ag' is missing its q argument",
+    }
+    assert {text.split(":")[0] for text in messages} == set(FAMILY_ARGS)
+    for text, message in messages.items():
+        with pytest.raises(ValueError) as excinfo:
+            FamilySpec.parse(text)
+        assert str(excinfo.value) == message
+
+
+def test_describe_parses_back():
+    cases = [
+        ("cube:3", QQ), ("cube:3", GF(5)),
+        ("vnk:4:2", QQ), ("vnk:4:2", GF(5)),
+        ("vnkt:4:1:1,3", QQ), ("vnkt:4:1:1,3", GF(5)),
+        ("jnq:2:3", QQ), ("jnq:2:3", GF(5)),
+        ("inq:2:3", QQ),
+        ("perm:3", QQ),
+        ("ag:2:5", GF(5)),
+    ]
+    assert {text.split(":")[0] for text, _ in cases} == set(FAMILY_ARGS)
+    for text, field in cases:
+        spec = FamilySpec.parse(text, field=field)
+        assert spec.field == field and spec.describe() == text
+        assert FamilySpec.parse(spec.describe(), field=spec.field) == spec
+
+
+def test_readme_family_table_matches_the_grammar():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Family specs", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1].strip().strip("`") for line in section.splitlines()[2:]]
+    assert {row.split(":")[0]: row for row in rows} == {
+        kind: ":".join([kind, *names]) for kind, names in FAMILY_ARGS.items()
+    }
+    assert len(rows) == len(FAMILY_ARGS)
 
 
 def test_ag_forces_matching_field():
