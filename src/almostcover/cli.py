@@ -24,8 +24,9 @@ from .bounds import (
 from .cover import ac_numbers, min_almost_cover
 from .errors import InvariantError, ParseError
 from .families import FamilySpec, generate, symmetry_generators
-from .fields import parse_field_name
+from .fields import parse_field_name, scalar_field
 from .pointfile import load_pointset
+from .polyring import mono_text
 from .vanishing import buchberger_moller
 from .verify import SUITES, run_suite
 
@@ -38,6 +39,10 @@ SCALE_NOTE = (
 
 
 def _load_input(args):
+    if args.input and args.family:
+        raise ValueError("give either a file or --family, not both")
+    if not args.input and not args.family:
+        raise ValueError("an input file or --family spec is required")
     if args.family:
         field = parse_field_name(args.field) if args.field else None
         spec = FamilySpec.parse(args.family, field=field)
@@ -85,8 +90,6 @@ def _solution_payload(V, sol):
 def _bound_payload(report):
     payload = {"method": report.method, "value": str(report.value)}
     if report.certificate_point is not None:
-        from .fields import scalar_field
-
         field = scalar_field(report.certificate_point[0])
         payload["certificate_point"] = [field.format(x) for x in report.certificate_point]
     payload["details"] = {k: str(v) for k, v in report.details.items()}
@@ -97,8 +100,6 @@ def cmd_gb(args) -> int:
     started = time.perf_counter()
     V, _, source = _load_input(args)
     data = buchberger_moller(V)
-    from .polyring import mono_text
-
     results = {
         "size": str(len(V)),
         "basis": [g.text() for g in data.basis],
@@ -327,10 +328,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "input", None) and getattr(args, "family", None):
-            raise ValueError("give either a file or --family, not both")
-        if hasattr(args, "family") and not args.family and not getattr(args, "input", None):
-            raise ValueError("an input file or --family spec is required")
         return args.handler(args)
     except (ParseError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,14 +188,17 @@ def _hyperplane_traces(V: PointSet):
     return first
 
 
-def _min_cover_over_masks(masks, nelements, floor, budget):
-    """Exact minimum set cover over bitmasks by branch and bound.
+def _min_cover_over_masks(masks, target, floor, budget):
+    """Exact minimum cover of the bitmask ``target`` by the given masks, by branch and bound.
 
-    A greedy cover is the first upper bound.  When it meets the certificate
-    floor it is optimal, and the branching tables are never built.
-    Otherwise the search branches on an uncovered element with the fewest
-    owning traces (the lowest such element), tries its traces by decreasing
-    size (lowest index on ties), and stops once the floor is attained.
+    Every mask lies inside ``target``: a solve passes the traces avoiding
+    v with ``target`` all points of V but v, so the search runs on V's own
+    point bits.  A greedy cover is the first upper bound.  When it meets the
+    certificate floor it is optimal, and the branching tables are never
+    built.  Otherwise the search branches on an uncovered element with the
+    fewest owning traces (the lowest such element), tries its traces by
+    decreasing size (lowest index on ties), and stops once the floor is
+    attained.
 
     Each node receives ``live``, a dict from the traces still allowed there
     to their masks.  Two exact prunings keep the tree small:
@@ -216,10 +219,9 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
     answer is the one the unpruned search gives.  Returns
     (chosen index list, optimal, nodes).
     """
-    full = (1 << nelements) - 1
     chosen = []
     cov = 0
-    while cov != full:
+    while cov != target:
         best_i, best_gain = None, 0
         for i, mask in enumerate(masks):
             gain = (mask & ~cov).bit_count()
@@ -230,34 +232,33 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
         chosen.append(best_i)
         cov |= masks[best_i]
     best = sorted(chosen)
-    best_size = len(best)
-    if best_size <= floor:
+    if len(best) <= floor:
         return best, True, 0
 
     sizes = [mask.bit_count() for mask in masks]
-    cover_lists = []
-    for e in range(nelements):
+    cover_lists = {}
+    for e in _indices(target):
         owners = [i for i, mask in enumerate(masks) if mask >> e & 1]
         owners.sort(key=lambda i: (-sizes[i], i))
-        cover_lists.append(owners)
-    branch_order = sorted(range(nelements), key=lambda e: (len(cover_lists[e]), e))
-
-    state = {"nodes": 0, "aborted": False, "best": best, "best_size": best_size}
+        cover_lists[e] = owners
+    branch_order = sorted(cover_lists, key=lambda e: (len(cover_lists[e]), e))
+    nodes = 0
+    aborted = False
 
     def hopeless(uncovered, cut_sizes, depth):
-        t = state["best_size"] - depth - 1
+        t = len(best) - depth - 1
         return t <= 0 or sum(nlargest(t, cut_sizes)) < uncovered.bit_count()
 
     def dfs(uncovered, live, stack):
-        state["nodes"] += 1
-        if budget is not None and state["nodes"] > budget:
-            state["aborted"] = True
+        nonlocal best, nodes, aborted
+        nodes += 1
+        if budget is not None and nodes > budget:
+            aborted = True
             return True
         if not uncovered:
-            if len(stack) < state["best_size"]:
-                state["best"] = sorted(stack)
-                state["best_size"] = len(stack)
-            return state["best_size"] <= floor
+            if len(stack) < len(best):
+                best = sorted(stack)
+            return len(best) <= floor
         depth = len(stack)
         if hopeless(uncovered, [(mask & uncovered).bit_count() for mask in live.values()], depth):
             return False
@@ -276,9 +277,8 @@ def _min_cover_over_masks(masks, nelements, floor, budget):
                 return False
         return False
 
-    dfs(full, dict(enumerate(masks)), [])
-    optimal = not state["aborted"] or state["best_size"] <= floor
-    return state["best"], optimal, state["nodes"]
+    dfs(target, dict(enumerate(masks)), [])
+    return best, not aborted or len(best) <= floor, nodes
 
 
 class _Work:
@@ -355,10 +355,8 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None)
     work = _Work(V, mode) if _work is None else _work
     traces = work.traces(v_idx)
     floor = work.data.separating_degree(v_pt)
-    # the search runs over V minus v, so drop v's bit from every trace
-    low = (1 << v_idx) - 1
-    masks = [mask & low | mask >> 1 & ~low for mask in traces]
-    chosen, optimal, nodes = _min_cover_over_masks(masks, len(V) - 1, floor, budget)
+    others = (1 << len(V)) - 1 & ~(1 << v_idx)
+    chosen, optimal, nodes = _min_cover_over_masks(traces, others, floor, budget)
     witnesses = []
     for i in chosen:
         mask = traces[i]
@@ -440,24 +438,20 @@ def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
         if len(set(perm)) != len(perm):
             raise ValueError("generator is not injective on the point set")
         perms.append(perm)
-    assigned = [None] * len(V)
+    seen = [False] * len(V)
     orbits = []
     for start in range(len(V)):
-        if assigned[start] is not None:
+        if seen[start]:
             continue
+        seen[start] = True
         orbit = [start]
-        assigned[start] = len(orbits)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for perm in perms:
-                    k = perm[j]
-                    if assigned[k] is None:
-                        assigned[k] = len(orbits)
-                        orbit.append(k)
-                        nxt.append(k)
-            frontier = nxt
+        # the loop also visits the points appended while it runs
+        for j in orbit:
+            for perm in perms:
+                k = perm[j]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
         orbits.append(tuple(sorted(orbit)))
     return OrbitPartition(orbits=tuple(orbits), is_transitive=len(orbits) == 1)
 
@@ -472,27 +466,16 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
     value shared across the orbit (covers map to covers under any affine
     symmetry of the set).
     """
-    partition = None
-    if generators:
-        partition = orbit_reduce(V, generators)
-        reps = [orbit[0] for orbit in partition.orbits]
-    else:
-        reps = list(range(len(V)))
-
+    partition = orbit_reduce(V, generators) if generators else None
+    orbits = partition.orbits if partition is not None else tuple((j,) for j in range(len(V)))
     work = _Work(V, mode)
     solutions = {
-        idx: min_almost_cover(V, V.points[idx], budget, mode, _work=work) for idx in reps
+        orbit[0]: min_almost_cover(V, V.points[orbit[0]], budget, mode, _work=work) for orbit in orbits
     }
-
     per_point = [None] * len(V)
-    if partition is not None:
-        for orbit in partition.orbits:
-            value = solutions[orbit[0]].size
-            for j in orbit:
-                per_point[j] = value
-    else:
-        for idx, sol in solutions.items():
-            per_point[idx] = sol.size
+    for orbit in orbits:
+        for j in orbit:
+            per_point[j] = solutions[orbit[0]].size
     return ACNumbers(
         per_point=tuple(per_point),
         ac_max=max(per_point),

@@ -23,6 +23,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .fields import Field, GFElement, scalar_field
+from .polyring import terms_text
 
 Point = tuple
 
@@ -287,26 +288,8 @@ class Hyperplane:
 
     def as_text(self) -> str:
         field = scalar_field(self.normal[0])
-        parts = []
-        for i, a in enumerate(self.normal):
-            if not a:
-                continue
-            name = f"x{i + 1}"
-            txt = field.format(a)
-            if txt == "1":
-                term = name
-            elif txt == "-1":
-                term = f"-{name}"
-            else:
-                term = f"{txt}*{name}"
-            if parts:
-                if term.startswith("-"):
-                    parts.append(f" - {term[1:]}")
-                else:
-                    parts.append(f" + {term}")
-            else:
-                parts.append(term)
-        return "".join(parts) + f" = {field.format(self.offset)}"
+        lhs = terms_text((field.format(a), f"x{i + 1}") for i, a in enumerate(self.normal) if a)
+        return f"{lhs} = {field.format(self.offset)}"
 
     def __eq__(self, other):
         return (

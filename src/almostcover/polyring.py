@@ -43,6 +43,30 @@ def mono_text(mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def terms_text(terms) -> str:
+    """A sum of (coefficient text, monomial text) pairs, in the given order.
+
+    A coefficient 1 is dropped, -1 becomes a bare minus, the monomial "1"
+    shows its coefficient alone, and signs join the terms as " + " and
+    " - ".  The empty sum is "0".
+    """
+    parts = []
+    for coeff, body in terms:
+        negative = coeff.startswith("-")
+        mag = coeff[1:] if negative else coeff
+        if body == "1":
+            piece = mag
+        elif mag == "1":
+            piece = body
+        else:
+            piece = f"{mag}*{body}"
+        if not parts:
+            parts.append(f"-{piece}" if negative else piece)
+        else:
+            parts.append(f" - {piece}" if negative else f" + {piece}")
+    return "".join(parts) or "0"
+
+
 def deglex_key(mono) -> tuple:
     """Sort key of the deglex order: total degree, then lex with x1 first."""
     return sum(mono), mono
@@ -161,25 +185,10 @@ class Polynomial:
 
     def text(self) -> str:
         """Canonical rendering, terms in descending deglex order."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=deglex_key, reverse=True):
-            coeff = self.field.format(self.terms[mono])
-            negative = coeff.startswith("-")
-            mag = coeff[1:] if negative else coeff
-            body = mono_text(mono)
-            if body == "1":
-                piece = mag
-            elif mag == "1":
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if not parts:
-                parts.append(f"-{piece}" if negative else piece)
-            else:
-                parts.append(f" - {piece}" if negative else f" + {piece}")
-        return "".join(parts)
+        return terms_text(
+            (self.field.format(self.terms[mono]), mono_text(mono))
+            for mono in sorted(self.terms, key=deglex_key, reverse=True)
+        )
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"

@@ -54,11 +54,9 @@ def _family_groebner(desc: str):
 
 
 @lru_cache(maxsize=None)
-def _family_ac(desc: str, symmetric: bool = False):
-    """Exact per-point cover numbers of a family, solved once."""
-    V = _family_points(desc)
-    gens = symmetry_generators(FamilySpec.parse(desc)) if symmetric else None
-    return ac_numbers(V, generators=gens)
+def _family_ac(desc: str):
+    """Exact cover numbers of a family at every point, solved once."""
+    return ac_numbers(_family_points(desc))
 
 
 def check_vnk_standard_monomials(max_n: float = math.inf):
@@ -286,13 +284,11 @@ def check_orbit_constancy(max_n: float = math.inf):
 def _chain_instances(max_n):
     specs = []
     for n in range(1, min(4, max_n) + 1):
-        for k in range(n):
-            specs.append((f"vnk:{n}:{k}", False))
-        specs.append((f"cube:{n}", False))
-    specs.extend((f"jnq:{n}:{q}", False) for n, q in JNQ_GRID if n <= max_n)
-    specs.extend((f"ag:{n}:{q}", False) for n, q in AG_GRID if n <= max_n)
-    # perm:4 is solved at one point per orbit
-    specs.extend((f"perm:{n}", n == 4) for n in (3, 4) if n <= max_n)
+        specs.extend(f"vnk:{n}:{k}" for k in range(n))
+        specs.append(f"cube:{n}")
+    specs.extend(f"jnq:{n}:{q}" for n, q in JNQ_GRID if n <= max_n)
+    specs.extend(f"ag:{n}:{q}" for n, q in AG_GRID if n <= max_n)
+    specs.extend(f"perm:{n}" for n in (3, 4) if n <= max_n)
     return specs
 
 
@@ -302,9 +298,9 @@ def check_bound_ordering(max_n: float = math.inf):
     certificate equality on the sharp families."""
     results = []
     tight = {"vnk", "cube", "jnq"}
-    for desc, symmetric in _chain_instances(max_n):
+    for desc in _chain_instances(max_n):
         V = _family_points(desc)
-        acn = _family_ac(desc, symmetric)
+        acn = _family_ac(desc)
         exact = acn.ac_max
         data = _family_groebner(desc)
         count = counting_lower_bound(V.dim, len(V)).value

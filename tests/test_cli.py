@@ -1,4 +1,7 @@
+import importlib
 import json
+import re
+from pathlib import Path
 
 from almostcover import cover
 from almostcover.cli import SCALE_NOTE, main
@@ -465,3 +468,13 @@ def test_bound_point_needs_a_per_point_method(capsys):
         )
         assert code == 0
         assert json.loads(out)["results"]["certificate"]["certificate_point"] == ["0", "0", "1", "1"]
+
+
+def test_the_console_script_runs_main(capsys):
+    # the almostcover command that pyproject.toml installs
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, name = re.search(r'^almostcover = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: almostcover ")

@@ -62,7 +62,7 @@ def combinations_minimum(masks, nelements):
     raise AssertionError("masks do not cover")
 
 
-def test_trace_family_cube2():
+def test_traces_avoiding_cube2_origin():
     V = cube(2)
     traces = traces_avoiding(V, (QQ.scalar(0), QQ.scalar(0)))
     got = [tuple(tuple(x) for x in as_points(V, t)) for t in traces]
@@ -78,17 +78,17 @@ def test_trace_family_cube2():
     assert as_ints == expected_sets
 
 
-def test_trace_family_collinear_middle():
+def test_traces_avoiding_collinear_middle():
     V = qpoints([(0, 0), (1, 1), (2, 2)])
     assert traces_avoiding(V, (QQ.scalar(1), QQ.scalar(1))) == ((0,), (2,))
 
 
-def test_trace_family_single_point():
+def test_traces_avoiding_single_point():
     V = qpoints([(3, 4)])
     assert traces_avoiding(V, (QQ.scalar(3), QQ.scalar(4))) == ()
 
 
-def test_trace_family_properties():
+def test_traces_avoiding_are_closed_realizable_and_cover():
     sets = [
         cube(3),
         qpoints([(0, 0), (1, 0), (0, 1), (2, 2), (1, 1)]),
@@ -335,11 +335,31 @@ def test_search_matches_reference_and_brute_force(family, data):
     masks, nelements = family
     minimum = combinations_minimum(masks, nelements)
     floor = data.draw(st.integers(0, minimum), label="floor")
-    chosen, optimal, nodes = _min_cover_over_masks(masks, nelements, floor, None)
+    chosen, optimal, nodes = _min_cover_over_masks(masks, (1 << nelements) - 1, floor, None)
     ref_chosen, ref_optimal, ref_nodes = reference_min_cover(masks, nelements, floor, None)
     assert (chosen, optimal) == (ref_chosen, ref_optimal)
     assert nodes <= ref_nodes
     assert optimal and len(chosen) == minimum
+
+
+def insert_hole(mask, h):
+    """The mask with a 0 bit inserted at position h."""
+    low = (1 << h) - 1
+    return mask & low | (mask & ~low) << 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(covering_masks(), st.data())
+def test_search_ignores_a_hole_in_the_target(family, data):
+    # a solve covers V's points but v, so its target has a 0 bit at v's index
+    masks, nelements = family
+    target = (1 << nelements) - 1
+    floor = data.draw(st.integers(0, 3), label="floor")
+    budget = data.draw(st.sampled_from((None, 1, 3)), label="budget")
+    h = data.draw(st.integers(0, nelements), label="hole")
+    holed = [insert_hole(mask, h) for mask in masks]
+    expected = _min_cover_over_masks(masks, target, floor, budget)
+    assert _min_cover_over_masks(holed, insert_hole(target, h), floor, budget) == expected
 
 
 def test_top_t_bound_proves_greedy_optimal_at_the_root():
@@ -348,7 +368,7 @@ def test_top_t_bound_proves_greedy_optimal_at_the_root():
     masks = [0b001111, 0b010000, 0b100000]
     assert reference_min_cover(masks, 6, 0, None)[2] > 1
     for budget in (None, 1):
-        assert _min_cover_over_masks(masks, 6, 0, budget) == ([0, 1, 2], True, 1)
+        assert _min_cover_over_masks(masks, 0b111111, 0, budget) == ([0, 1, 2], True, 1)
 
 
 def test_sibling_exclusion_skips_searched_traces():
@@ -356,7 +376,7 @@ def test_sibling_exclusion_skips_searched_traces():
     # the search branches on element 3, whose traces are 2 and 3; trace 2's
     # branch is already searched, so only trace 3 is tried: 4 nodes, not 5
     masks = [0b00110, 0b10100, 0b01101, 0b11100, 0b00111]
-    assert _min_cover_over_masks(masks, 5, 0, None) == ([3, 4], True, 4)
+    assert _min_cover_over_masks(masks, 0b11111, 0, None) == ([3, 4], True, 4)
 
 
 def test_branch_and_bound_beats_greedy():
@@ -366,16 +386,16 @@ def test_branch_and_bound_beats_greedy():
         0b000111,
         0b111000,
     ]
-    chosen, optimal, nodes = _min_cover_over_masks(masks, 6, 0, None)
+    chosen, optimal, nodes = _min_cover_over_masks(masks, 0b111111, 0, None)
     assert optimal and len(chosen) == 2 and nodes > 0
     # with a one-node budget only the greedy answer survives, honestly flagged
-    chosen, optimal, nodes = _min_cover_over_masks(masks, 6, 0, 1)
+    chosen, optimal, nodes = _min_cover_over_masks(masks, 0b111111, 0, 1)
     assert not optimal and len(chosen) == 3
 
 
 def test_greedy_rejects_masks_that_miss_an_element():
     with pytest.raises(InvariantError):
-        _min_cover_over_masks([0b001, 0b011], 3, 0, None)
+        _min_cover_over_masks([0b001, 0b011], 0b111, 0, None)
 
 
 def test_solver_agrees_with_brute_force_randomized():
@@ -403,7 +423,7 @@ def test_solver_agrees_with_brute_force_randomized():
         assert sol.lower_bound_used <= sol.size
 
 
-def naive_trace_family(V, v):
+def naive_traces_avoiding(V, v):
     """Literal oracle: close every subset of size <= dim, then prune.
 
     Exponential, so only used on tiny instances to validate the incremental
@@ -425,7 +445,7 @@ def naive_trace_family(V, v):
     return tuple(sorted(tuple(sorted(c)) for c in maximal))
 
 
-def test_trace_family_matches_naive_enumeration():
+def test_traces_avoiding_match_naive_enumeration():
     rng = random.Random(424242)
     for trial in range(40):
         if trial % 3 == 2:
@@ -437,7 +457,7 @@ def test_trace_family_matches_naive_enumeration():
         size = rng.randint(1, min(7, len(grid)))
         V = PointSet.from_ints(field, rng.sample(grid, size))
         for v in V.points:
-            assert traces_avoiding(V, v) == naive_trace_family(V, v)
+            assert traces_avoiding(V, v) == naive_traces_avoiding(V, v)
 
 
 # coordinates no named family or benchmark set has: fractions, negatives,
@@ -459,9 +479,9 @@ def kernel_point_sets(draw, fields=(QQ, MERSENNE)):
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_point_sets())
-def test_trace_family_matches_naive_on_fractional_and_large_prime_sets(V):
+def test_traces_avoiding_match_naive_on_fractional_and_large_prime_sets(V):
     for v in V.points:
-        assert traces_avoiding(V, v) == naive_trace_family(V, v)
+        assert traces_avoiding(V, v) == naive_traces_avoiding(V, v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,7 +490,7 @@ def test_trace_family_matches_naive_on_fractional_and_large_prime_sets(V):
     st.sampled_from((Fraction(-3, 2), Fraction(2, 5), Fraction(7, 3))),
     st.lists(st.sampled_from(FRACTIONAL), min_size=3, max_size=3),
 )
-def test_trace_family_invariant_under_fractional_affine_map(V, c, shift):
+def test_traces_avoiding_invariant_under_fractional_affine_map(V, c, shift):
     W = PointSet(QQ, V.dim, [tuple(c * x + t for x, t in zip(p, shift)) for p in V.points])
     for v, w in zip(V.points, W.points):
         assert traces_avoiding(W, w) == traces_avoiding(V, v)

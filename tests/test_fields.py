@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import almostcover
 from almostcover.fields import GF, QQ, Field, GFElement, is_prime, parse_field_name, scalar_field
 
 
@@ -110,3 +113,28 @@ def test_gf13_field_axioms(x, y, z):
 def test_gf_hash_consistent_with_int_equality(x):
     a = GF(13).scalar(x)
     assert a == x and hash(a) == hash(x)
+
+
+# math's exact integer functions, and inf, the uncapped --max-n of the suites
+EXACT_MATH = {"comb", "factorial", "floor", "gcd", "lcm", "inf"}
+
+
+def test_no_float_in_any_module():
+    found = []
+    for path in sorted(Path(almostcover.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} literal {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{where} float() call")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr not in EXACT_MATH
+            ):
+                found.append(f"{where} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.extend(f"{where} from math import {a.name}" for a in node.names if a.name not in EXACT_MATH)
+    assert not found
