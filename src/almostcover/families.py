@@ -21,6 +21,7 @@ residues and needs p >= q to stay injective).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantError
@@ -121,8 +122,6 @@ class FamilySpec:
 
 
 def expected_size(spec: FamilySpec) -> int:
-    import math
-
     if spec.kind == "cube":
         return 2**spec.n
     if spec.kind == "vnk":

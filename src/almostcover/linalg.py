@@ -19,7 +19,6 @@ check the integer code independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 
 from .fields import Field, GFElement, scalar_field
@@ -65,12 +64,9 @@ class _IntKernel:
         self.normalize = _primitive if p is None else (lambda row: [x % p for x in row])
 
     def eliminate(self, row, prow, c):
-        """row with its column c cleared by the nonzero prow[c].
-
-        A shorter prow counts as padded with zeros.
-        """
+        """row with its column c cleared by the nonzero prow[c]."""
         pv, f = prow[c], row[c]
-        return self.normalize([pv * a - f * b for a, b in zip_longest(row, prow, fillvalue=0)])
+        return self.normalize([pv * a - f * b for a, b in zip(row, prow)])
 
     def direction(self, row) -> tuple:
         """The multiple of a nonzero row shared by exactly the rows parallel to it.

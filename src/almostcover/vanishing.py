@@ -2,11 +2,10 @@
 
 Candidate monomials are scanned in increasing deglex order.  A monomial whose
 evaluation vector on the points is independent of those accepted so far
-becomes a standard monomial; a dependent one yields a monic basis polynomial
-whose tail is supported on earlier standard monomials.  Skipping candidates
-divisible by an already-found leading monomial keeps the scan finite and
-makes the emitted basis the reduced one: exactly one basis element per
-minimal non-standard monomial.
+becomes a standard monomial; a dependent one gives a basis polynomial.
+Skipping candidates divisible by an already-found leading monomial keeps the
+scan finite and leaves exactly one basis element per minimal non-standard
+monomial: the basis is the reduced one.
 
 The standard monomials form a basis of the functions on the point set, so
 their count always equals the number of points, and the set is closed under
@@ -15,43 +14,193 @@ division.  Both facts are relied on downstream and checked in the tests.
 The scan runs on integer kernel rows (see ``linalg``): rational points are
 scaled once to integers by their common denominator D, which scales a
 monomial of degree d by D^d, and that factor is undone when a basis
-polynomial or an indicator expansion is built.  Every candidate after 1 is
-a standard monomial times one variable, so its values on the points are
-that parent's values times one coordinate: one multiplication per point,
-on any point set.
+polynomial or an indicator expansion is built.  Each standard monomial
+leaves one echelon row: values on the points, zero at the pivots of the rows
+before it, and a tag, a polynomial (a dict from monomial to int) that takes
+those values and whose leading monomial is the standard monomial.  Values
+and tag are kept fraction-free together.
 
-A point's indicator expansion comes from the scan's own echelon rows, one
-per standard monomial: the point's unit vector, reduced against them in
-scan order, leaves minus a multiple of its indicator function over the
-standard monomials.  No second elimination is run, and the rows never
-change.
+Every candidate after 1 is a standard monomial sm[k] times one variable, and
+it starts from row k times that variable: the values times one coordinate,
+the tag times the variable.  Those values are already zero at the pivots of
+rows 0..k-1, so the candidate is reduced against rows k onward only.  Its
+tag is the candidate plus smaller monomials, each a combination of standard
+monomials found so far modulo the ideal, so the dependence test and the
+pivots are those of the candidate's own values.  A tag may hold monomials
+that are not standard, such as a variable times a leading monomial.
+
+A dependent candidate's tag vanishes on the points.  The reduced basis is
+built from these tags on first use, not by the scan: each tail's non-standard
+monomials are rewritten modulo the earlier basis elements, largest first,
+on the scan's ints.  The normal form is unique, so this is the reduced
+basis.  A point's indicator expansion reduces the point's unit vector
+against the echelon rows in scan order, combines their tags, and takes the
+normal form; no second elimination is run, and the rows are not changed
+after the scan.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 
 from .errors import InvariantError
 from .linalg import PointSet, _IntKernel
-from .polyring import Polynomial, deglex_key, mono_deg, mono_divides, mono_one, reduce_poly
+from .polyring import (
+    Polynomial,
+    deglex_key,
+    mono_deg,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    mono_one,
+    reduce_poly,
+)
+
+
+def _times(mono, i) -> tuple:
+    """mono times the variable x_(i+1)."""
+    return mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+
+
+def _normalized(kernel, row, tag):
+    """row and tag, divided by their common content over the rationals or
+    reduced mod p over GF(p); zero tag entries are dropped."""
+    out = kernel.normalize(row + list(tag.values()))
+    n = len(row)
+    return out[:n], {m: x for m, x in zip(tag, out[n:]) if x}
+
+
+def _eliminate(kernel, row, tag, prow, ptag, c):
+    """(row, tag) with column c of row cleared by the echelon row (prow, ptag)."""
+    pv, f = prow[c], row[c]
+    tag = {m: pv * x for m, x in tag.items()}
+    for m, x in ptag.items():
+        tag[m] = tag.get(m, 0) - f * x
+    return _normalized(kernel, [pv * a - f * b for a, b in zip(row, prow)], tag)
+
+
+def _divisor(mono, leads, standard):
+    """The leading monomial in ``leads`` that divides a non-standard mono,
+    or None when none does.
+
+    A non-standard monomial that is not a leading monomial has a
+    non-standard divisor one degree lower, so the walk down ends at a
+    minimal non-standard monomial.
+    """
+    while mono not in leads:
+        for i, e in enumerate(mono):
+            if e:
+                low = mono[:i] + (e - 1,) + mono[i + 1 :]
+                if low not in standard:
+                    mono = low
+                    break
+        else:
+            return None
+    return mono
+
+
+def _largest_first(mono) -> tuple:
+    """Heap entry that pops the deglex-largest monomial first."""
+    return (-mono_deg(mono), tuple(-e for e in mono)), mono
+
+
+def _reduce_tag(tag, leads, standard, p):
+    """(terms, den): the normal form of tag modulo ``leads`` is terms / den.
+
+    ``leads`` maps each leading monomial to its reduced element, an int
+    dict: primitive with a positive leading coefficient over the rationals,
+    monic mod p over GF(p).  Every monomial outside ``standard`` that a
+    leading monomial divides is rewritten, largest first; a rewrite adds
+    only smaller monomials.  Over the rationals the work is scaled by the
+    least factor that keeps it integral, and den is the product of those
+    factors; over GF(p) den is 1.
+    """
+    work = dict(tag)
+    den = 1
+    todo = [_largest_first(m) for m in work if m not in standard]
+    heapq.heapify(todo)
+    while todo:
+        _, u = heapq.heappop(todo)
+        c = work.pop(u, 0)
+        if p is not None:
+            c %= p
+        if not c:
+            continue
+        lm = _divisor(u, leads, standard)
+        if lm is None:
+            # the tag's own leading monomial
+            work[u] = c
+            continue
+        g = leads[lm]
+        common = gcd(g[lm], c)
+        k, f = g[lm] // common, c // common
+        if k > 1:
+            work = {m: x * k for m, x in work.items()}
+            den *= k
+        q = mono_div(u, lm)
+        for v, x in g.items():
+            if v != lm:
+                w = mono_mul(q, v)
+                if w not in work and w not in standard:
+                    heapq.heappush(todo, _largest_first(w))
+                work[w] = work.get(w, 0) - f * x
+    if p is not None:
+        work = {m: x % p for m, x in work.items()}
+    return {m: x for m, x in work.items() if x}, den
 
 
 class GroebnerData:
-    """Reduced deglex basis of a vanishing ideal plus its standard monomials.
+    """Standard monomials and reduced deglex basis of a vanishing ideal.
 
-    Built by ``buchberger_moller``, which hands over its echelon rows and
-    the scale of its integer points for the indicator expansions.  Nothing
-    is reassigned after construction.
+    Built by ``buchberger_moller``, which hands over its echelon rows
+    (pivot, values, tag), one per standard monomial, the (leading monomial,
+    tag) of each dependent candidate, and the scale of its integer points.
+    The reduced basis is built from the dependent tags on first use and
+    kept; nothing else is assigned after construction.
     """
 
-    __slots__ = ("source", "basis", "sm", "_rows", "_scale")
+    __slots__ = ("source", "sm", "_rows", "_deps", "_scale", "_leads", "_basis")
 
-    def __init__(self, source: PointSet, basis, sm, rows, scale):
+    def __init__(self, source: PointSet, sm, rows, deps, scale):
         self.source = source
-        self.basis = tuple(basis)
         self.sm = tuple(sm)
         self._rows = tuple(rows)
+        self._deps = tuple(deps)
         self._scale = scale
+        self._leads = None
+        self._basis = None
+
+    def _reduced(self) -> dict:
+        """Each leading monomial's reduced element on the scaled points, in
+        scan order, as ``_reduce_tag`` takes them."""
+        if self._leads is None:
+            kernel = _IntKernel(self.source.field)
+            standard = set(self.sm)
+            leads = {}
+            for lm, tag in self._deps:
+                tail, _ = _reduce_tag(tag, leads, standard, kernel.field.p)
+                # leading coefficient first, for the kernel's direction
+                terms = [lm, *(m for m in tail if m != lm)]
+                leads[lm] = dict(zip(terms, kernel.direction([tail[m] for m in terms])))
+            self._leads = leads
+        return self._leads
+
+    @property
+    def basis(self) -> tuple:
+        """The reduced basis in scan order, one monic polynomial per minimal
+        non-standard monomial; built on first access."""
+        if self._basis is None:
+            field, scale = self.source.field, self._scale
+            kernel = _IntKernel(field)
+            basis = []
+            for lm, g in self._reduced().items():
+                # undo the point scaling and make it monic
+                coeffs = [x * scale ** mono_deg(m) for m, x in g.items()]
+                scalars = kernel.scalars(coeffs, coeffs[0])
+                basis.append(Polynomial(field, self.source.dim, dict(zip(g, scalars))))
+            self._basis = tuple(basis)
+        return self._basis
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Unique representative of f supported on the standard monomials."""
@@ -64,23 +213,24 @@ class GroebnerData:
     def indicator_expansion(self, point) -> Polynomial:
         """Expansion of the function that is 1 at the point, 0 at the others."""
         V = self.source
-        idx = V.index_of(point)
-        npts = len(V)
         kernel = _IntKernel(V.field)
-        # [unit vector of the point | zeros over sm | tracking slot 1]: each
-        # scan row is zero at the pivots of the rows before it, so one pass
-        # in scan order clears the point values and leaves [0 | -t * chi | t],
-        # chi the indicator over sm evaluated on scale * V.  A row shorter
-        # than this one has zeros past its end.
-        row = [0] * (2 * npts + 1)
-        row[idx] = row[-1] = 1
-        for pivot, prow in self._rows:
+        # the point's unit vector, with the tag {None: 1}, None standing for
+        # the point's indicator chi: each scan row is zero at the pivots of
+        # the rows before it, so one pass in scan order clears the values
+        # and leaves t at None and monomials that take the values -t * chi
+        # on the scaled points
+        row = [0] * len(V)
+        row[V.index_of(point)] = 1
+        tag = {None: 1}
+        for pivot, prow, ptag in self._rows:
             if row[pivot]:
-                row = kernel.eliminate(row, prow, pivot)
+                row, tag = _eliminate(kernel, row, tag, prow, ptag, pivot)
+        t = tag.pop(None)
+        terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), V.field.p)
         # back on V, the coefficient of a degree-d monomial takes a factor
         # scale^d
-        tail = [-c * self._scale ** mono_deg(m) for c, m in zip(row[npts:-1], self.sm)]
-        return Polynomial(V.field, V.dim, dict(zip(self.sm, kernel.scalars(tail, row[-1]))))
+        coeffs = [-x * self._scale ** mono_deg(m) for m, x in terms.items()]
+        return Polynomial(V.field, V.dim, dict(zip(terms, kernel.scalars(coeffs, t * den))))
 
     def separating_degree(self, point) -> int:
         """Degree of the normal form of the point's indicator function.
@@ -88,21 +238,20 @@ class GroebnerData:
         This is the least possible degree of a polynomial vanishing on all
         other points of the set but not at this one.
 
-        It runs the reduction of ``indicator_expansion`` on the point
-        columns only, which make every choice of it.  Scan row k is the
-        first with a column for sm[k], and its entry there is nonzero, so
-        the expansion's last monomial is sm[k] for the last row k used; and
+        It runs the reduction of ``indicator_expansion`` on the values
+        only, which make every choice of it.  Row k's tag is led by sm[k],
+        and the normal form keeps a standard leading monomial, so the
+        expansion's leading monomial is sm[k] for the last row k used; and
         deglex degrees do not fall in scan order.
         """
         V = self.source
-        npts = len(V)
         kernel = _IntKernel(V.field)
-        row = [0] * npts
+        row = [0] * len(V)
         row[V.index_of(point)] = 1
         last = 0
-        for k, (pivot, prow) in enumerate(self._rows):
+        for k, (pivot, prow, _) in enumerate(self._rows):
             if row[pivot]:
-                row = kernel.eliminate(row, prow[:npts], pivot)
+                row = kernel.eliminate(row, prow, pivot)
                 last = k
         return mono_deg(self.sm[last])
 
@@ -141,67 +290,58 @@ class GroebnerData:
                 raise InvariantError("non-square-free standard monomial on a 0-1 set")
 
     def __repr__(self):
-        return f"GroebnerData(points={len(self.source)}, basis={len(self.basis)})"
+        return f"GroebnerData(points={len(self.source)}, basis={len(self._deps)})"
 
 
 def buchberger_moller(V: PointSet) -> GroebnerData:
     """Groebner data of the vanishing ideal of a finite point set."""
-    field = V.field
-    kernel = _IntKernel(field)
+    kernel = _IntKernel(V.field)
     points, scale = kernel.int_points(V.points)
     npts = len(points)
     nvars = V.dim
     sm = []
-    basis = []
-    lms = []
-    # echelon rows (pivot, row): a row holds a combination's values on the
-    # points, then its coefficients over the standard monomials found
-    # before it and over its own monomial
+    # echelon rows (pivot, values, tag), one per standard monomial
     rows = []
-    # values[k]: sm[k] on the points, as the kernel holds it; the rows are
-    # exact, so a candidate gets the same values from any parent
-    values = []
-
-    def basis_polynomial(mono, row):
-        # the combination vanishes on every point and its coefficient at
-        # mono is nonzero; undo the point scaling and make it monic
-        terms = [(m, c * scale ** mono_deg(m)) for m, c in zip(sm + [mono], row[npts:]) if c]
-        coeffs = kernel.scalars([c for _, c in terms], terms[-1][1])
-        return Polynomial(field, nvars, {m: c for (m, _), c in zip(terms, coeffs)})
-
+    # (leading monomial, tag) of each dependent candidate
+    deps = []
     start = mono_one(nvars)
     # (key, monomial, index of its parent in sm, the variable it adds)
     heap = [(deglex_key(start), start, None, None)]
     seen = {start}
     while heap:
         _, mono, parent, var = heapq.heappop(heap)
-        if any(mono_divides(lm, mono) for lm in lms):
+        if any(mono_divides(lm, mono) for lm, _ in deps):
             continue
         if parent is None:
-            vals = [1] * npts
+            row, tag, first = [1] * npts, {mono: 1}, 0
         else:
-            vals = [a * p[var] for a, p in zip(values[parent], points)]
-        row = first = kernel.normalize(vals + [0] * len(sm) + [1])
-        for pivot, prow in rows:
+            # the parent's echelon row times the variable is zero at the
+            # pivots of the rows before the parent
+            _, prow, ptag = rows[parent]
+            row, tag = _normalized(
+                kernel,
+                [a * p[var] for a, p in zip(prow, points)],
+                {_times(m, var): x for m, x in ptag.items()},
+            )
+            first = parent
+        for pivot, prow, ptag in rows[first:]:
             if row[pivot]:
-                row = kernel.eliminate(row, prow, pivot)
+                row, tag = _eliminate(kernel, row, tag, prow, ptag, pivot)
         pivot = next((i for i in range(npts) if row[i]), None)
         if pivot is None:
-            basis.append(basis_polynomial(mono, row))
-            lms.append(mono)
+            deps.append((mono, tag))
         elif len(sm) == npts:
             # once |sm| = |V| the standard monomials span all functions on
             # the set, so every remaining border candidate must be dependent
             raise InvariantError("independent monomial found beyond a spanning set")
         else:
-            rows.append((pivot, row))
-            values.append(first[:npts])
+            rows.append((pivot, row, tag))
             sm.append(mono)
             for i in range(nvars):
-                child = tuple(e + 1 if j == i else e for j, e in enumerate(mono))
+                child = _times(mono, i)
                 if child not in seen:
                     seen.add(child)
                     heapq.heappush(heap, (deglex_key(child), child, len(sm) - 1, i))
     if len(sm) != npts:
         raise InvariantError("monomial scan terminated before spanning the point set")
-    return GroebnerData(V, basis, sm, rows, scale)
+    return GroebnerData(V, sm, rows, deps, scale)

@@ -3,7 +3,9 @@ import json
 import re
 from pathlib import Path
 
-from almostcover import cover
+import pytest
+
+from almostcover import cover, vanishing
 from almostcover.cli import SCALE_NOTE, main
 from almostcover.families import FamilySpec
 from almostcover.vanishing import GroebnerData
@@ -46,6 +48,34 @@ def test_gb_from_file(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["results"]["standard_monomials"]) == 3
 
+
+
+class BasisBuilt(Exception):
+    pass
+
+
+def test_only_gb_builds_the_reduced_basis(monkeypatch, tmp_path, capsys):
+    # the README's sample set, whose basis needs a tail rewritten; solve and
+    # bound read the scan's rows only, so they print the same bytes when
+    # the basis cannot be built
+    path = tmp_path / "pts.txt"
+    path.write_text("field rational\ndim 2\npoint 1 2/3\npoint 0 -1\npoint 2 0\n")
+    calls = [
+        ("solve", str(path), "--all"),
+        ("solve", "--family", "jnq:3:3", "--all"),
+        ("bound", str(path), "--method", "all"),
+        ("bound", "--family", "cube:4", "--method", "all", "--point", "3"),
+    ]
+    expected = [run(capsys, *argv, "--json", "--no-timings") for argv in calls]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def unbuildable(*args):
+        raise BasisBuilt
+
+    monkeypatch.setattr(vanishing, "_reduce_tag", unbuildable)
+    assert [run(capsys, *argv, "--json", "--no-timings") for argv in calls] == expected
+    with pytest.raises(BasisBuilt):
+        main(["gb", str(path), "--no-timings"])
 
 def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "solve", "--family", "cube:3", "--point", "0", "--json", "--no-timings")
