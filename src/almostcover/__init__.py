@@ -43,7 +43,7 @@ from .linalg import (
     rref,
 )
 from .pointfile import load_pointset, parse_pointset
-from .polyring import Polynomial, deglex_key, reduce_poly
+from .polyring import Polynomial, deglex_key
 from .vanishing import GroebnerData, buchberger_moller
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "min_almost_cover",
     "orbit_reduce",
     "parse_pointset",
-    "reduce_poly",
     "rref",
     "sharp_cover_vnk",
     "symmetry_generators",

@@ -23,11 +23,6 @@ def mono_mul(a, b) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a, b) -> bool:
-    """True when a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_div(b, a) -> tuple:
     """b / a, assuming divisibility."""
     return tuple(y - x for x, y in zip(a, b))
@@ -111,13 +106,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(mono_deg, self.terms)) if self.terms else -1
 
-    def leading_term(self):
-        """(monomial, coefficient) of the deglex-largest term."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        lm = max(self.terms, key=deglex_key)
-        return lm, self.terms[lm]
-
     def _check_compatible(self, other: "Polynomial"):
         if self.field != other.field:
             raise TypeError(f"field mismatch: {self.field!r} vs {other.field!r}")
@@ -193,42 +181,3 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
 
-
-def reduce_poly(f: Polynomial, gens) -> Polynomial:
-    """Normal form of f modulo a list of polynomials.
-
-    Repeatedly rewrites the deglex-largest monomial of f that some leading
-    monomial divides, always using the first matching generator, so the
-    result is deterministic and no remaining monomial is divisible by any
-    leading monomial.  The total degree never increases.
-    """
-    gens = list(gens)
-    heads = []
-    for g in gens:
-        if not isinstance(g, Polynomial):
-            raise TypeError("generators must be polynomials")
-        f._check_compatible(g)
-        if g.is_zero():
-            raise ValueError("zero polynomial in the generator list")
-        lm, lc = g.leading_term()
-        heads.append((lm, lc, g))
-    work = dict(f.terms)
-    while True:
-        reducible = [m for m in work if any(mono_divides(lm, m) for lm, _, _ in heads)]
-        if not reducible:
-            break
-        target = max(reducible, key=deglex_key)
-        for lm, lc, g in heads:
-            if mono_divides(lm, target):
-                u = mono_div(target, lm)
-                factor = work[target] / lc
-                for m, c in g.terms.items():
-                    key = mono_mul(u, m)
-                    cur = work.get(key)
-                    cur = -factor * c if cur is None else cur - factor * c
-                    if cur:
-                        work[key] = cur
-                    else:
-                        work.pop(key, None)
-                break
-    return Polynomial(f.field, f.nvars, work)

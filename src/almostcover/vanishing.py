@@ -3,9 +3,10 @@
 Candidate monomials are scanned in increasing deglex order.  A monomial whose
 evaluation vector on the points is independent of those accepted so far
 becomes a standard monomial; a dependent one gives a basis polynomial.
-Skipping candidates divisible by an already-found leading monomial keeps the
-scan finite and leaves exactly one basis element per minimal non-standard
-monomial: the basis is the reduced one.
+A candidate with a divisor one degree lower that is not standard is skipped:
+that divisor came earlier in deglex order, so it has been decided, and the
+skip keeps the scan finite and leaves exactly one basis element per minimal
+non-standard monomial: the basis is the reduced one.
 
 The standard monomials form a basis of the functions on the point set, so
 their count always equals the number of points, and the set is closed under
@@ -36,7 +37,9 @@ on the scan's ints.  The normal form is unique, so this is the reduced
 basis.  A point's indicator expansion reduces the point's unit vector
 against the echelon rows in scan order, combines their tags, and takes the
 normal form; no second elimination is run, and the rows are not changed
-after the scan.
+after the scan.  The normal form of a given polynomial goes the same way:
+its coefficients are scaled to ints on the scaled points and rewritten by
+the same reduction.
 """
 
 from __future__ import annotations
@@ -46,16 +49,7 @@ from math import gcd
 
 from .errors import InvariantError
 from .linalg import PointSet, _IntKernel
-from .polyring import (
-    Polynomial,
-    deglex_key,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_mul,
-    mono_one,
-    reduce_poly,
-)
+from .polyring import Polynomial, deglex_key, mono_deg, mono_div, mono_mul, mono_one
 
 
 def _times(mono, i) -> tuple:
@@ -191,24 +185,36 @@ class GroebnerData:
         """The reduced basis in scan order, one monic polynomial per minimal
         non-standard monomial; built on first access."""
         if self._basis is None:
-            field, scale = self.source.field, self._scale
-            kernel = _IntKernel(field)
-            basis = []
-            for lm, g in self._reduced().items():
-                # undo the point scaling and make it monic
-                coeffs = [x * scale ** mono_deg(m) for m, x in g.items()]
-                scalars = kernel.scalars(coeffs, coeffs[0])
-                basis.append(Polynomial(field, self.source.dim, dict(zip(g, scalars))))
-            self._basis = tuple(basis)
+            # monic: divided by the leading coefficient back on V
+            self._basis = tuple(
+                self._polynomial(g, g[lm] * self._scale ** mono_deg(lm))
+                for lm, g in self._reduced().items()
+            )
         return self._basis
+
+    def _polynomial(self, terms, den) -> Polynomial:
+        """The polynomial on V of the int terms on the scaled points, divided
+        by den: back on V a degree-d coefficient takes a factor scale^d."""
+        V = self.source
+        coeffs = [x * self._scale ** mono_deg(m) for m, x in terms.items()]
+        scalars = _IntKernel(V.field).scalars(coeffs, den)
+        return Polynomial(V.field, V.dim, dict(zip(terms, scalars)))
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Unique representative of f supported on the standard monomials."""
-        if f.field != self.source.field:
-            raise TypeError(f"field mismatch: {f.field!r} vs {self.source.field!r}")
-        if f.nvars != self.source.dim:
+        V = self.source
+        if f.field != V.field:
+            raise TypeError(f"field mismatch: {f.field!r} vs {V.field!r}")
+        if f.nvars != V.dim:
             raise ValueError("variable count does not match the ambient dimension")
-        return reduce_poly(f, self.basis)
+        # on the scaled points f is f(x / scale); times scale^top, a
+        # degree-e coefficient takes a factor scale^(top - e), and the
+        # kernel clears the denominators
+        top = max(map(mono_deg, f.terms), default=0)
+        ints, common = _IntKernel(V.field).ints(list(f.terms.values()))
+        tag = {m: x * self._scale ** (top - mono_deg(m)) for m, x in zip(f.terms, ints)}
+        terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), V.field.p)
+        return self._polynomial(terms, common * den * self._scale**top)
 
     def indicator_expansion(self, point) -> Polynomial:
         """Expansion of the function that is 1 at the point, 0 at the others."""
@@ -227,10 +233,7 @@ class GroebnerData:
                 row, tag = _eliminate(kernel, row, tag, prow, ptag, pivot)
         t = tag.pop(None)
         terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), V.field.p)
-        # back on V, the coefficient of a degree-d monomial takes a factor
-        # scale^d
-        coeffs = [-x * self._scale ** mono_deg(m) for m, x in terms.items()]
-        return Polynomial(V.field, V.dim, dict(zip(terms, kernel.scalars(coeffs, t * den))))
+        return self._polynomial(terms, -t * den)
 
     def separating_degree(self, point) -> int:
         """Degree of the normal form of the point's indicator function.
@@ -258,37 +261,6 @@ class GroebnerData:
     def max_sm_degree(self) -> int:
         return max(mono_deg(m) for m in self.sm)
 
-    def check_invariants(self):
-        """Verify the structural guarantees; raises InvariantError on failure."""
-        V = self.source
-        field = V.field
-        one = field.one()
-        if len(self.sm) != len(V):
-            raise InvariantError("standard monomial count differs from point count")
-        sm_set = set(self.sm)
-        nvars = V.dim
-        for m in self.sm:
-            for i in range(nvars):
-                if m[i]:
-                    d = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-                    if d not in sm_set:
-                        raise InvariantError(f"standard monomials not divisor-closed at {m}")
-        for g in self.basis:
-            lm, lc = g.leading_term()
-            if lc != one:
-                raise InvariantError("basis element is not monic")
-            if lm in sm_set:
-                raise InvariantError("leading monomial clashes with a standard monomial")
-            for m in g.terms:
-                if m != lm and m not in sm_set:
-                    raise InvariantError("basis tail leaves the standard monomials")
-            for p in V.points:
-                if g.evaluate(p):
-                    raise InvariantError("basis element does not vanish on the point set")
-        if V.is_zero_one():
-            if any(e > 1 for m in self.sm for e in m):
-                raise InvariantError("non-square-free standard monomial on a 0-1 set")
-
     def __repr__(self):
         return f"GroebnerData(points={len(self.source)}, basis={len(self._deps)})"
 
@@ -300,6 +272,7 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
     npts = len(points)
     nvars = V.dim
     sm = []
+    standard = set()
     # echelon rows (pivot, values, tag), one per standard monomial
     rows = []
     # (leading monomial, tag) of each dependent candidate
@@ -310,7 +283,9 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
     seen = {start}
     while heap:
         _, mono, parent, var = heapq.heappop(heap)
-        if any(mono_divides(lm, mono) for lm, _ in deps):
+        # a divisor one degree lower came earlier in deglex order, so it
+        # has been decided; one outside sm makes the candidate non-standard
+        if any(mono[:i] + (e - 1,) + mono[i + 1 :] not in standard for i, e in enumerate(mono) if e):
             continue
         if parent is None:
             row, tag, first = [1] * npts, {mono: 1}, 0
@@ -337,6 +312,7 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         else:
             rows.append((pivot, row, tag))
             sm.append(mono)
+            standard.add(mono)
             for i in range(nvars):
                 child = _times(mono, i)
                 if child not in seen:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate
 from almostcover.fields import GF, QQ, scalar_field
 from almostcover.linalg import PointSet, rref
@@ -43,6 +44,41 @@ def evaluation_matrix(data):
     return rows
 
 
+def divisors_below(m):
+    """The divisors of a monomial one degree lower."""
+    return [m[:i] + (e - 1,) + m[i + 1 :] for i, e in enumerate(m) if e]
+
+
+def check_invariants(data):
+    """Verify the structural guarantees; raises InvariantError on failure."""
+    V = data.source
+    one = V.field.one()
+    if len(data.sm) != len(V):
+        raise InvariantError("standard monomial count differs from point count")
+    sm_set = set(data.sm)
+    for m in data.sm:
+        if not sm_set.issuperset(divisors_below(m)):
+            raise InvariantError(f"standard monomials not divisor-closed at {m}")
+    for g in data.basis:
+        lm = max(g.terms, key=deglex_key)
+        if g.terms[lm] != one:
+            raise InvariantError("basis element is not monic")
+        if lm in sm_set:
+            raise InvariantError("leading monomial clashes with a standard monomial")
+        # a reduced basis has one element per minimal non-standard monomial
+        if not sm_set.issuperset(divisors_below(lm)):
+            raise InvariantError(f"leading monomial {lm} is not minimal")
+        for m in g.terms:
+            if m != lm and m not in sm_set:
+                raise InvariantError("basis tail leaves the standard monomials")
+        for p in V.points:
+            if g.evaluate(p):
+                raise InvariantError("basis element does not vanish on the point set")
+    if V.is_zero_one():
+        if any(e > 1 for m in data.sm for e in m):
+            raise InvariantError("non-square-free standard monomial on a 0-1 set")
+
+
 def test_two_point_line():
     V = qpoints([(0,), (1,)])
     data = buchberger_moller(V)
@@ -58,7 +94,7 @@ def test_vnk21_matches_known_structure():
     data = buchberger_moller(vnk(2, 1))
     assert data.sm == ((0, 0), (0, 1), (1, 0))
     assert sorted(g.text() for g in data.basis) == ["x1*x2", "x1^2 - x1", "x2^2 - x2"]
-    data.check_invariants()
+    check_invariants(data)
 
 
 def test_full_square_all_squarefree():
@@ -108,6 +144,15 @@ def test_normal_form_kills_leading_monomials():
     assert data.normal_form(f).is_zero()
     g = Polynomial(QQ, 2, {(1, 0): QQ.one(), (0, 1): QQ.scalar(-3)})  # already supported on sm
     assert data.normal_form(g) == g
+
+
+def test_normal_form_rewrites_non_standard_monomials():
+    # x1^2 on {0, 1} in one step, by x1^2 - x1; x1^2*x2 on the square in
+    # two, by x1^2 - x1 and then x2^2 - x2
+    line = buchberger_moller(qpoints([(0,), (1,)]))
+    assert line.normal_form(Polynomial(QQ, 1, {(2,): QQ.one()})).text() == "x1"
+    square = buchberger_moller(cube(2))
+    assert square.normal_form(Polynomial(QQ, 2, {(2, 1): QQ.one()})).text() == "x1*x2"
 
 
 def test_normal_form_agrees_on_points():
@@ -175,7 +220,7 @@ def test_groebner_invariants_on_gf_and_generic_sets():
     ]
     for V in sets:
         data = buchberger_moller(V)
-        data.check_invariants()
+        check_invariants(data)
         assert list(data.sm) == sorted(data.sm, key=deglex_key)
 
 
@@ -217,7 +262,10 @@ LARGE_RESIDUES = (0, 1, 2, MERSENNE.p - 2, MERSENNE.p - 1, 2**40 + 3, 9876543219
 @st.composite
 def kernel_point_sets(draw, fields=(QQ, MERSENNE)):
     field = draw(st.sampled_from(fields))
-    coords = FRACTIONAL if field.is_rational else LARGE_RESIDUES
+    if field.is_rational:
+        coords = FRACTIONAL
+    else:
+        coords = LARGE_RESIDUES if field == MERSENNE else range(field.p)
     dim = draw(st.integers(1, 3))
     grid = list(itertools.product(coords, repeat=dim))
     rows = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True))
@@ -228,10 +276,42 @@ def kernel_point_sets(draw, fields=(QQ, MERSENNE)):
 @given(kernel_point_sets())
 def test_basis_and_indicators_on_fractional_and_large_prime_sets(V):
     data = buchberger_moller(V)
-    data.check_invariants()
+    check_invariants(data)
     for p in V.points:
         chi = data.indicator_expansion(p)
         assert [chi.evaluate(q) for q in V.points] == [int(q == p) for q in V.points]
+
+
+@st.composite
+def polynomials_on(draw, V):
+    """A polynomial of degree at most 4 in V's variables, over V's field;
+    over the rationals its coefficients may be fractions."""
+    field, n = V.field, V.dim
+    monos = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+    coeffs = (
+        st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        if field.is_rational
+        else st.integers(-20, 20)
+    )
+    terms = draw(st.dictionaries(monos.filter(lambda m: mono_deg(m) <= 4), coeffs, max_size=6))
+    return Polynomial(field, n, {m: field.scalar(c) for m, c in terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_form_properties(data):
+    V = data.draw(kernel_point_sets(fields=(QQ, MERSENNE, GF(5))))
+    f = data.draw(polynomials_on(V))
+    groebner = buchberger_moller(V)
+    nf = groebner.normal_form(f)
+    # supported on sm and equal to f on V: as sm is a basis of the
+    # functions on V, these two pin the normal form down
+    assert set(nf.terms) <= set(groebner.sm)
+    assert [nf.evaluate(p) for p in V.points] == [f.evaluate(p) for p in V.points]
+    assert all(scalar_field(c) == V.field for c in nf.terms.values())
+    assert groebner.normal_form(nf) == nf
+    assert nf.degree() <= f.degree()
+    assert groebner.normal_form(Polynomial.zero(V.field, V.dim)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
