@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from almostcover.fields import GF, QQ
+from almostcover.linalg import PointSet
 from almostcover.polyring import Polynomial, deglex_key, mono_mul
+from almostcover.vanishing import buchberger_moller
 
 
 def poly(terms, nvars=2, field=QQ):
@@ -44,6 +46,24 @@ def test_evaluate():
     assert f.evaluate((QQ.scalar(2), QQ.scalar(3))) == Fraction(4 * 3 - 6 + 1)
     g = poly({(1, 0): 1, (0, 1): 1}, field=GF(3))
     assert g.evaluate((GF(3).scalar(2), GF(3).scalar(2))) == 1
+
+
+def test_reduce_single_replacement():
+    # x1^2 on {0, 1} rewrites to x1, by x1^2 - x1
+    line = buchberger_moller(PointSet.from_ints(QQ, [(0,), (1,)]))
+    assert line.normal_form(poly({(2,): 1}, nvars=1)).text() == "x1"
+
+
+def test_reduce_exact_division():
+    # x1*x2 vanishes on {0, e1, e2}: it is a basis element and reduces to zero
+    data = buchberger_moller(PointSet.from_ints(QQ, [(0, 0), (1, 0), (0, 1)]))
+    assert data.normal_form(poly({(1, 1): 1})).is_zero()
+
+
+def test_reduce_two_steps():
+    # x1^2*x2 on the square, by x1^2 - x1 and then x2^2 - x2
+    square = buchberger_moller(PointSet.from_ints(QQ, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    assert square.normal_form(poly({(2, 1): 1})).text() == "x1*x2"
 
 
 def test_render_descending_deglex_and_signs():

@@ -146,15 +146,6 @@ def test_normal_form_kills_leading_monomials():
     assert data.normal_form(g) == g
 
 
-def test_normal_form_rewrites_non_standard_monomials():
-    # x1^2 on {0, 1} in one step, by x1^2 - x1; x1^2*x2 on the square in
-    # two, by x1^2 - x1 and then x2^2 - x2
-    line = buchberger_moller(qpoints([(0,), (1,)]))
-    assert line.normal_form(Polynomial(QQ, 1, {(2,): QQ.one()})).text() == "x1"
-    square = buchberger_moller(cube(2))
-    assert square.normal_form(Polynomial(QQ, 2, {(2, 1): QQ.one()})).text() == "x1*x2"
-
-
 def test_normal_form_agrees_on_points():
     data = buchberger_moller(cube(2))
     h = Polynomial(QQ, 2, {(1, 0): QQ.one(), (0, 1): QQ.one(), (0, 0): QQ.scalar(-1)})
