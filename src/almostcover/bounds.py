@@ -3,10 +3,11 @@
 Two counting bounds (monomial-ball counting for arbitrary point sets and
 binomial-sum counting for 0-1 sets), a per-point certificate bound read off
 the vanishing ideal's standard monomials, and two informational derived
-bounds involving the constant e.  Everything actionable is an exact integer
-scan; e only ever enters through the fixed rational bracket
-2.718281828 < e < 2.718281829 with rounding directions chosen so that every
-reported verdict and value is conservative.
+bounds involving the constant e; ``lower_bounds`` is the one place that
+picks which of them hold for a set and the chain they must form.
+Everything actionable is an exact integer scan; e only ever enters through
+the fixed rational bracket 2.718281828 < e < 2.718281829 with rounding
+directions chosen so that every reported verdict and value is conservative.
 """
 
 from __future__ import annotations
@@ -22,13 +23,6 @@ E_LOW = Fraction(2_718_281_828, 10**9)
 E_HIGH = Fraction(2_718_281_829, 10**9)
 # decimal places of the lower root approximation in the e-based bound
 ROOT_DIGITS = 12
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b), zero outside 0 <= b <= a."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def ball_size(n: int, k: int) -> int:
@@ -175,6 +169,29 @@ def cor_bounds(n: int, npoints: int):
     return threshold, e_report
 
 
+def lower_bounds(V: PointSet, point=None, groebner: GroebnerData | None = None):
+    """Every lower bound that holds for V, and the chain they must form.
+
+    Returns (reports, chain).  The reports, in print order: the counting
+    bound, the 0-1 counting bound (0-1 sets only), the certificate (at
+    ``point`` if one is given), the e-based bound and, once |V| >= 4^n, the
+    4^n threshold.  The chain e-based <= counting <= 0-1 counting <=
+    certificate must rise.  It bounds AC(V), so it ends at the set's largest
+    standard-monomial degree: a given point's degree can sit below the
+    counting bounds.
+    """
+    reports = [counting_lower_bound(V.dim, len(V))]
+    if V.is_zero_one():
+        reports.append(cube_counting_lower_bound(V.dim, len(V)))
+    certificate = certificate_lower_bound(V, point, groebner)
+    threshold, e_report = cor_bounds(V.dim, len(V))
+    chain = [e_report.value, *(r.value for r in reports), certificate.details["max_sm_degree"]]
+    reports += [certificate, e_report]
+    if threshold is not None:
+        reports.append(threshold)
+    return reports, chain
+
+
 def check_binomial_inequalities(n: int, k: int) -> dict:
     """Certify the two strict binomial upper bounds with conservative rounding.
 
@@ -190,7 +207,7 @@ def check_binomial_inequalities(n: int, k: int) -> dict:
         lhs = math.comb(n, k) * k**k * den**k
         rhs = n**k * num**k
         verdicts["bin_upper"] = lhs < rhs
-    lhs = binomial(n + k, n) * n**n * den**n
+    lhs = math.comb(n + k, n) * n**n * den**n
     rhs = (n + k) ** n * num**n
     verdicts["bin_upper2"] = lhs < rhs
     return verdicts

@@ -4,8 +4,9 @@ Subcommands: ``gb`` (vanishing-ideal basis and standard monomials),
 ``bound`` (lower bounds), ``solve`` (exact minimum almost covers) and
 ``verify`` (theorem suites).  Inputs are point-set files or inline family
 specs; ``--json`` emits a stable schema-1 document with every exact number
-serialized as a string.  Exit codes: 0 success, 2 usage or parse error,
-3 internal invariant violation or out of memory.
+serialized as a string.  Exit codes: 0 success, 1 a ``verify`` check
+failed, 2 usage or parse error, 3 internal invariant violation or out of
+memory.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import time
 
 from .bounds import (
     certificate_lower_bound,
-    cor_bounds,
     counting_lower_bound,
     cube_counting_lower_bound,
+    lower_bounds,
 )
 from .cover import ac_numbers, min_almost_cover
 from .errors import InvariantError, ParseError
@@ -123,51 +124,33 @@ def cmd_bound(args) -> int:
             raise ValueError(f"--point applies only to --method cert or all, not {args.method}")
         if not 0 <= args.point < len(V):
             raise ValueError(f"point index {args.point} out of range (0..{len(V) - 1})")
+    point = V.points[args.point] if args.point is not None else None
+    chain = None
+    if args.method == "all":
+        reports, chain = lower_bounds(V, point)
+    elif args.method == "count":
+        reports = [counting_lower_bound(V.dim, len(V))]
+    elif args.method == "cube":
+        if not V.is_zero_one():
+            raise ValueError("the cube counting bound needs a 0-1 point set")
+        reports = [cube_counting_lower_bound(V.dim, len(V))]
+    else:
+        reports = [certificate_lower_bound(V, point)]
     results = {}
     lines = [f"point set: {len(V)} points, dim {V.dim}, field {V.field.name}"]
-    if args.method != "all":
-        methods = (args.method,)
-    elif V.is_zero_one():
-        methods = ("count", "cube", "cert")
-    else:
-        # the cube counting bound holds only on 0-1 sets
-        methods = ("count", "cert")
-    chain = {}
-    for method in methods:
-        if method == "count":
-            report = counting_lower_bound(V.dim, len(V))
-        elif method == "cube":
-            if not V.is_zero_one():
-                raise ValueError("the cube counting bound needs a 0-1 point set")
-            report = cube_counting_lower_bound(V.dim, len(V))
-        else:
-            point = V.points[args.point] if args.point is not None else None
-            report = certificate_lower_bound(V, point)
+    for report in reports:
         results[report.method] = _bound_payload(report)
-        # the chain bounds AC(V), so the certificate enters it as the set's
-        # maximum: with --point the value is that point's degree, which can
-        # sit below the counting bounds
-        chain[report.method] = report.details["max_sm_degree"] if method == "cert" else report.value
-        lines.append(f"{report.method}: lower bound {report.value}")
+        rational = f" (rational {report.details['rational']})" if report.method == "cor_e" else ""
+        lines.append(f"{report.method}: lower bound {report.value}{rational}")
         if report.certificate_point is not None:
             lines.append(f"  at point {V.format_point(report.certificate_point)}")
-    if args.method == "all":
-        threshold, e_report = cor_bounds(V.dim, len(V))
-        results["cor_e"] = _bound_payload(e_report)
-        lines.append(f"cor_e: lower bound {e_report.value} (rational {e_report.details['rational']})")
-        if threshold is not None:
-            results["cor_4n"] = _bound_payload(threshold)
-            lines.append(f"cor_4n: lower bound {threshold.value}")
-        ordered = [e_report.value, chain["count"]]
-        if "cube_count" in chain:
-            ordered.append(chain["cube_count"])
-        ordered.append(chain["certificate"])
-        ok = all(a <= b for a, b in zip(ordered, ordered[1:]))
+    if chain is not None:
+        ok = all(a <= b for a, b in zip(chain, chain[1:]))
         results["ordering_chain"] = {
-            "values": [str(x) for x in ordered],
+            "values": [str(x) for x in chain],
             "holds": ok,
         }
-        lines.append(f"ordering chain {' <= '.join(map(str, ordered))}: {'ok' if ok else 'VIOLATED'}")
+        lines.append(f"ordering chain {' <= '.join(map(str, chain))}: {'ok' if ok else 'VIOLATED'}")
         if not ok:
             raise InvariantError("bound ordering chain violated")
     doc = _document("bound", source, V, results, args, started)

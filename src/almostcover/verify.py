@@ -18,11 +18,10 @@ from functools import lru_cache
 
 from .bounds import (
     ball_size,
-    certificate_lower_bound,
     check_binomial_inequalities,
-    cor_bounds,
     counting_lower_bound,
     cube_counting_lower_bound,
+    lower_bounds,
 )
 from .cover import ac_numbers, orbit_reduce, verify_cover
 from .families import FamilySpec, generate, sharp_cover_vnk, symmetry_generators, szw_sharp_polynomial
@@ -299,20 +298,12 @@ def check_bound_ordering(max_n: float = math.inf):
     results = []
     tight = {"vnk", "cube", "jnq"}
     for desc in _chain_instances(max_n):
-        V = _family_points(desc)
         acn = _family_ac(desc)
         exact = acn.ac_max
-        data = _family_groebner(desc)
-        count = counting_lower_bound(V.dim, len(V)).value
-        cert = certificate_lower_bound(V, groebner=data).value
-        _, cor_e = cor_bounds(V.dim, len(V))
-        chain = [cor_e.value, count]
-        if V.is_zero_one():
-            chain.append(cube_counting_lower_bound(V.dim, len(V)).value)
-        chain.extend([cert, exact])
+        chain = lower_bounds(_family_points(desc), groebner=_family_groebner(desc))[1] + [exact]
         ok = all(a <= b for a, b in zip(chain, chain[1:])) and acn.optimal
         kind = desc.split(":")[0]
-        if kind in tight and cert != exact:
+        if kind in tight and chain[-2] != exact:
             ok = False
         results.append(
             _result(

@@ -8,12 +8,12 @@ from almostcover.bounds import (
     E_HIGH,
     E_LOW,
     ball_size,
-    binomial,
     certificate_lower_bound,
     check_binomial_inequalities,
     cor_bounds,
     counting_lower_bound,
     cube_counting_lower_bound,
+    lower_bounds,
     rational_root_lower,
 )
 from almostcover.fields import QQ
@@ -93,6 +93,26 @@ def test_certificate_bounds():
         certificate_lower_bound(cube2, (QQ.scalar(5), QQ.scalar(5)))
 
 
+def test_lower_bounds_order_and_chain():
+    # jnq:2:3 is not 0-1, so it has no cube_count report
+    jnq23 = PointSet.from_ints(QQ, [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+    reports, chain = lower_bounds(jnq23)
+    assert [r.method for r in reports] == ["count", "certificate", "cor_e"]
+    assert chain == [0, 2, 2]
+    # vnkt:3:1:1,2 is 0-1; at its point (0, 0, 1) the certificate is 1, but
+    # the chain ends at the set's certificate 2
+    vnkt = PointSet.from_ints(QQ, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+    reports, chain = lower_bounds(vnkt, vnkt.points[3])
+    assert [r.method for r in reports] == ["count", "cube_count", "certificate", "cor_e"]
+    assert reports[2].value == 1
+    assert chain == [0, 2, 2, 2]
+    # 4 = 4^1 points on a line add the cor_4n threshold last
+    line = PointSet.from_ints(QQ, [(x,) for x in range(4)])
+    reports, chain = lower_bounds(line)
+    assert [r.method for r in reports] == ["count", "certificate", "cor_e", "cor_4n"]
+    assert chain == [1, 3, 3]
+
+
 def test_rational_root_lower():
     assert rational_root_lower(9, 2) == 3
     assert rational_root_lower(27, 3) == 3
@@ -135,12 +155,6 @@ def test_binomial_inequalities_examples():
         check_binomial_inequalities(3, -3)
     with pytest.raises(ValueError):
         check_binomial_inequalities(0, 1)
-
-
-def test_binomial_helper():
-    assert binomial(3, 4) == 0
-    assert binomial(4, -1) == 0
-    assert binomial(6, 2) == 15
 
 
 def test_e_bracket_sane():

@@ -151,6 +151,27 @@ def test_bound_all_skips_cube_on_non_01(capsys):
     assert results["ordering_chain"]["holds"] is True
 
 
+def test_bound_all_agrees_with_the_single_methods(capsys):
+    singles = {"count": "count", "cube_count": "cube", "certificate": "cert"}
+    for spec, *point in (("cube:3",), ("jnq:2:3",), ("vnkt:3:1:1,2", "--point", "3")):
+        code, out, _ = run(
+            capsys, "bound", "--family", spec, *point, "--method", "all", "--json", "--no-timings"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert ("cube_count" in results) == (spec != "jnq:2:3")
+        for key, method in singles.items():
+            if key not in results:
+                continue
+            code, out, _ = run(
+                capsys,
+                "bound", "--family", spec, "--method", method, *(point if method == "cert" else ()),
+                "--json", "--no-timings",
+            )
+            assert code == 0
+            assert json.loads(out)["results"] == {key: results[key]}
+
+
 def test_solve_single_point(capsys):
     code, out, _ = run(
         capsys, "solve", "--family", "cube:3", "--point", "0", "--json", "--no-timings"
