@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from heapq import nlargest
+from math import lcm
 
 from .errors import InvariantError
 from .linalg import (
@@ -201,22 +201,33 @@ def _min_cover_over_masks(masks, target, floor, budget):
     attained.
 
     Each node receives ``live``, a dict from the traces still allowed there
-    to their masks.  Two exact prunings keep the tree small:
+    to their masks.  At depth d with best size b, only t = b - d - 1 more
+    traces can beat b.  Three exact prunings keep the tree small:
 
-      * top-t bound: at depth d with best size b, only t = b - d - 1 more
-        traces can beat b, so a node whose t largest live traces, cut down
-        to its uncovered set U, cover fewer than |U| elements is cut.  It
-        is checked on entry and again after each branch, as b falls and
-        ``live`` shrinks;
+      * depth: a node with t <= 0 is cut before it looks at ``live``;
+      * weight bound: give each element e of the node's uncovered set U the
+        weight 1/s(e), with s(e) the size of the largest live trace through
+        e cut down to U.  Every live trace then carries weight at most 1,
+        so no t of them cover U when the weights sum to W > t (weak LP
+        duality), nor when an element of U has no live trace.  One pass
+        over the live traces by decreasing size weighs each element at the
+        first that holds it, in integers scaled by lcm(1..largest trace
+        size).  The bound is checked on entry and again after each branch,
+        as b falls and ``live`` shrinks.  It cuts wherever the t largest
+        live traces cover fewer than |U| elements: with sizes
+        s_1 >= s_2 >= ..., W - t >= (|U| - s_1 - ... - s_t) / s_t;
       * sibling exclusion: once a trace's branch is fully searched, the
         trace leaves the node's ``live``, so its later branches never use
         it.  Every cover below the node holds a first trace, in try order,
         covering the branching element, and is searched in that branch.
 
-    A node that passes the bound keeps the live traces that meet U, each
-    cut down to U, so "banned" and "adds nothing" are one dict lookup.
-    Neither pruning removes the first optimal cover in search order, so the
-    answer is the one the unpruned search gives.  Returns
+    A node with t > 0 keeps the live traces that meet U, each cut down to
+    U, so "banned" and "adds nothing" are one dict lookup.
+    Each pruning cuts only subtrees that hold no cover smaller than the best
+    found so far, so the search visits a subset of the unpruned search's
+    nodes, in the same order, and the best cover changes at the same nodes:
+    the answer is the one the unpruned search gives.  Under a budget it can
+    go further in that order within the same number of nodes.  Returns
     (chosen index list, optimal, nodes).
     """
     chosen = []
@@ -236,18 +247,32 @@ def _min_cover_over_masks(masks, target, floor, budget):
         return best, True, 0
 
     sizes = [mask.bit_count() for mask in masks]
-    cover_lists = {}
-    for e in _indices(target):
-        owners = [i for i, mask in enumerate(masks) if mask >> e & 1]
-        owners.sort(key=lambda i: (-sizes[i], i))
-        cover_lists[e] = owners
+    cover_lists = {e: [] for e in _indices(target)}
+    for i in sorted(range(len(masks)), key=lambda i: -sizes[i]):
+        rest = masks[i]
+        while rest:
+            low = rest & -rest
+            cover_lists[low.bit_length() - 1].append(i)
+            rest ^= low
     branch_order = sorted(cover_lists, key=lambda e: (len(cover_lists[e]), e))
+    scale = lcm(*range(1, max(sizes) + 1))
     nodes = 0
     aborted = False
 
-    def hopeless(uncovered, cut_sizes, depth):
-        t = len(best) - depth - 1
-        return t <= 0 or sum(nlargest(t, cut_sizes)) < uncovered.bit_count()
+    def hopeless(uncovered, cuts, depth):
+        # cuts: the live traces cut down to uncovered, largest first
+        limit = (len(best) - depth - 1) * scale
+        weight = seen = 0
+        for cut in cuts:
+            new = cut & ~seen
+            if new:
+                weight += new.bit_count() * (scale // cut.bit_count())
+                if weight > limit:
+                    return True
+                seen |= new
+                if seen == uncovered:
+                    return False
+        return True
 
     def dfs(uncovered, live, stack):
         nonlocal best, nodes, aborted
@@ -260,20 +285,24 @@ def _min_cover_over_masks(masks, target, floor, budget):
                 best = sorted(stack)
             return len(best) <= floor
         depth = len(stack)
-        if hopeless(uncovered, [(mask & uncovered).bit_count() for mask in live.values()], depth):
+        if depth + 1 >= len(best):
             return False
         live = {i: cut for i, mask in live.items() if (cut := mask & uncovered)}
+        cuts = sorted(live.values(), key=int.bit_count, reverse=True)
+        if hopeless(uncovered, cuts, depth):
+            return False
         pick = next(e for e in branch_order if uncovered >> e & 1)
         for i in cover_lists[pick]:
             if i not in live:
                 continue
-            rest = uncovered & ~live.pop(i)
+            cut = live.pop(i)
             stack.append(i)
-            done = dfs(rest, live, stack)
+            done = dfs(uncovered & ~cut, live, stack)
             stack.pop()
             if done:
                 return True
-            if hopeless(uncovered, map(int.bit_count, live.values()), depth):
+            cuts.remove(cut)
+            if hopeless(uncovered, cuts, depth):
                 return False
         return False
 

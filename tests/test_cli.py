@@ -8,6 +8,8 @@ import pytest
 from almostcover import cover, vanishing
 from almostcover.cli import SCALE_NOTE, main
 from almostcover.families import FamilySpec
+from almostcover.fields import QQ
+from almostcover.linalg import PointSet
 from almostcover.vanishing import GroebnerData
 from almostcover.verify import SUITES
 
@@ -380,7 +382,9 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
 # Three random 24-point planar sets whose search needs the most nodes when
 # pruned by the largest-trace ratio alone (224,319, 186,111 and 136,666).
 # Their reports come from that search; pruning harder must not change the
-# optimum or the witness cover it picks.
+# optimum or the witness cover it picks.  HARD_SET_NODES holds the nodes of
+# the search at point 0 and, above them, of the search pruned by the top-t
+# bound (the t largest live traces must cover U) in place of the weight bound.
 HARD_SETS = (
     (
         (
@@ -494,6 +498,15 @@ HARD_SETS = (
 """,
     ),
 )
+
+
+HARD_SET_NODES = ((72, 1325), (36, 229), (7, 308))
+
+
+def test_hardest_random_sets_need_few_search_nodes():
+    for (points, _), (nodes, top_t_nodes) in zip(HARD_SETS, HARD_SET_NODES, strict=True):
+        V = PointSet.from_ints(QQ, points)
+        assert cover.min_almost_cover(V, V.points[0]).node_count == nodes <= top_t_nodes
 
 
 def test_hardest_random_sets_keep_their_witness_covers(tmp_path, capsys):

@@ -240,7 +240,7 @@ def reference_min_cover(masks, nelements, floor, budget):
     """Branch and bound pruned by the largest-trace ratio alone, the oracle
     for ``_min_cover_over_masks``.
 
-    Same greedy seed, branching element and try order, but no top-t bound
+    Same greedy seed, branching element and try order, but no weight bound
     and no sibling exclusion, so it must find the same cover in no fewer
     nodes.
     """
@@ -329,8 +329,31 @@ def covering_masks(draw):
     return masks, nelements
 
 
+@st.composite
+def small_covering_masks(draw):
+    """Masks of 2 to 4 elements out of up to 20, like the lines through the
+    points of a planar set, so that the search's bounds cut."""
+    nelements = draw(st.integers(4, 20))
+    mask = st.lists(st.integers(0, nelements - 1), min_size=2, max_size=4, unique=True).map(
+        lambda elements: sum(1 << e for e in elements)
+    )
+    masks = draw(st.lists(mask, min_size=1, max_size=12))
+    union = 0
+    for m in masks:
+        union |= m
+    missed = [e for e in range(nelements) if not union >> e & 1]
+    # masks of up to 4 missed elements take the rest, so the family covers;
+    # a lone one goes with element 0, or with 1 if it is 0
+    while missed:
+        group, missed = missed[:4], missed[4:]
+        if len(group) == 1:
+            group.append(1 if group[0] == 0 else 0)
+        masks.append(sum(1 << e for e in group))
+    return masks, nelements
+
+
 @settings(max_examples=300, deadline=None)
-@given(covering_masks(), st.data())
+@given(st.one_of(covering_masks(), small_covering_masks()), st.data())
 def test_search_matches_reference_and_brute_force(family, data):
     masks, nelements = family
     minimum = combinations_minimum(masks, nelements)
@@ -362,13 +385,40 @@ def test_search_ignores_a_hole_in_the_target(family, data):
     assert _min_cover_over_masks(holed, insert_hole(target, h), floor, budget) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_covering_masks(), st.data())
+def test_budgeted_search_returns_a_cover_no_smaller_than_the_minimum(family, data):
+    masks, nelements = family
+    target = (1 << nelements) - 1
+    minimum = combinations_minimum(masks, nelements)
+    floor = data.draw(st.integers(0, minimum), label="floor")
+    for budget in (1, 2, 5, 50):
+        chosen, optimal, _ = _min_cover_over_masks(masks, target, floor, budget)
+        union = 0
+        for i in chosen:
+            union |= masks[i]
+        assert union == target
+        assert len(chosen) >= minimum
+        assert not optimal or len(chosen) == minimum
+
+
 def test_top_t_bound_proves_greedy_optimal_at_the_root():
-    # greedy needs all three; the two largest cover only 5 of 6 elements,
-    # which the root's top-t bound sees and the largest-trace ratio does not
+    # greedy needs all three; the two largest cover only 5 of 6 elements, so
+    # the root's weight bound (3 > 2) cuts, and the largest-trace ratio does not
     masks = [0b001111, 0b010000, 0b100000]
     assert reference_min_cover(masks, 6, 0, None)[2] > 1
     for budget in (None, 1):
         assert _min_cover_over_masks(masks, 0b111111, 0, budget) == ([0, 1, 2], True, 1)
+
+
+def test_weight_bound_proves_greedy_optimal_at_the_root():
+    # greedy takes traces 0, 1 and 3.  The two largest hold 3 + 3 >= 5
+    # elements, but elements 0 to 3 lie in traces of at most 3 and element 4
+    # in traces of 1, so the weights sum to 4/3 + 1 > 2 and no two cover
+    masks = [0b01001, 0b10000, 0b10000, 0b00111, 0b01011, 0b00101]
+    assert reference_min_cover(masks, 5, 0, None)[2] == 3
+    for budget in (None, 1):
+        assert _min_cover_over_masks(masks, 0b11111, 0, budget) == ([0, 1, 3], True, 1)
 
 
 def test_sibling_exclusion_skips_searched_traces():
