@@ -16,22 +16,30 @@ The scan runs on integer kernel rows (see ``linalg``): rational points are
 scaled once to integers by their common denominator D, which scales a
 monomial of degree d by D^d, and that factor is undone when a basis
 polynomial or an indicator expansion is built.  Each standard monomial
-leaves one echelon row: values on the points, zero at the pivots of the rows
-before it, and a tag, a polynomial (a dict from monomial to int) that takes
-those values and whose leading monomial is the standard monomial.  Values
-and tag are kept fraction-free together.
+leaves one echelon row: its pivot and its values on the points, zero at the
+pivots of the rows before it and kept primitive (reduced mod p over GF(p)).
 
 Every candidate after 1 is a standard monomial sm[k] times one variable, and
-it starts from row k times that variable: the values times one coordinate,
-the tag times the variable.  Those values are already zero at the pivots of
-rows 0..k-1, so the candidate is reduced against rows k onward only.  Its
-tag is the candidate plus smaller monomials, each a combination of standard
-monomials found so far modulo the ideal, so the dependence test and the
-pivots are those of the candidate's own values.  A tag may hold monomials
-that are not standard, such as a variable times a leading monomial.
+it starts from row k times that variable's coordinate.  Those values are
+already zero at the pivots of rows 0..k-1, so the candidate is reduced
+against rows k onward only.  The dependence test, the pivots and the
+separating degrees read these values and nothing else.
+
+The scan keeps no polynomials.  Each candidate leaves a record (mono,
+parent, var, g0, steps): g0 is the content taken from the parent's values
+times the coordinate, and each step (j, f, g) names the row used, the
+candidate's value f at that row's pivot, and the content g taken after
+(g = 1 over GF(p)).  On first use of the basis, a normal form or an
+indicator expansion, the records are replayed on tags: one polynomial (a
+dict from monomial to int) per candidate, which takes s times the
+candidate's values and is primitive together with them (s = 1 over GF(p)).
+A tag is led by its candidate and adds smaller monomials, each a
+combination of standard monomials found so far modulo the ideal; it may
+hold monomials that are not standard, such as a variable times a leading
+monomial.
 
 A dependent candidate's tag vanishes on the points.  The reduced basis is
-built from these tags on first use, not by the scan: each tail's non-standard
+built from these tags, not by the scan: each tail's non-standard
 monomials are rewritten modulo the earlier basis elements, largest first,
 on the scan's ints.  The normal form is unique, so this is the reduced
 basis.  A point's indicator expansion reduces the point's unit vector
@@ -57,21 +65,29 @@ def _times(mono, i) -> tuple:
     return mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
 
 
-def _normalized(kernel, row, tag):
-    """row and tag, divided by their common content over the rationals or
-    reduced mod p over GF(p); zero tag entries are dropped."""
-    out = kernel.normalize(row + list(tag.values()))
-    n = len(row)
-    return out[:n], {m: x for m, x in zip(tag, out[n:]) if x}
+def _content(row, p):
+    """(row / g, g): an int row and its content g over the rationals, 0 for a
+    zero row; over GF(p) the row reduced mod p, and g = 1."""
+    if p is not None:
+        return [x % p for x in row], 1
+    g = gcd(*row)
+    return ([x // g for x in row] if g > 1 else row), g
 
 
-def _eliminate(kernel, row, tag, prow, ptag, c):
-    """(row, tag) with column c of row cleared by the echelon row (prow, ptag)."""
-    pv, f = prow[c], row[c]
-    tag = {m: pv * x for m, x in tag.items()}
+def _tag_step(p, tag, a, ptag, b, c):
+    """(a * tag - b * ptag, s), divided by their common content over the
+    rationals or reduced mod p over GF(p); zero entries are dropped.
+
+    c is the factor that the values taken by the new tag have over the
+    candidate's primitive values; s is c after the division (1 over GF(p)).
+    """
+    out = {m: a * x for m, x in tag.items()}
     for m, x in ptag.items():
-        tag[m] = tag.get(m, 0) - f * x
-    return _normalized(kernel, [pv * a - f * b for a, b in zip(row, prow)], tag)
+        out[m] = out.get(m, 0) - b * x
+    if p is not None:
+        return {m: x % p for m, x in out.items() if x % p}, 1
+    h = gcd(c, *out.values())
+    return {m: x // h for m, x in out.items() if x}, c // h
 
 
 def _divisor(mono, leads, standard):
@@ -148,22 +164,52 @@ class GroebnerData:
     """Standard monomials and reduced deglex basis of a vanishing ideal.
 
     Built by ``buchberger_moller``, which hands over its echelon rows
-    (pivot, values, tag), one per standard monomial, the (leading monomial,
-    tag) of each dependent candidate, and the scale of its integer points.
-    The reduced basis is built from the dependent tags on first use and
-    kept; nothing else is assigned after construction.
+    (pivot, values), one per standard monomial, the record of each
+    candidate it tested, and the scale of its integer points.  The
+    separating degrees read the rows only and never build the tags; the
+    tags are replayed from the records on first use of the basis, a normal
+    form or an indicator expansion, and the reduced basis is built from the
+    dependent tags.  Each is kept once built.
     """
 
-    __slots__ = ("source", "sm", "_rows", "_deps", "_scale", "_leads", "_basis")
+    __slots__ = ("source", "sm", "_rows", "_records", "_scale", "_tags", "_leads", "_basis")
 
-    def __init__(self, source: PointSet, sm, rows, deps, scale):
+    def __init__(self, source: PointSet, sm, rows, records, scale):
         self.source = source
         self.sm = tuple(sm)
         self._rows = tuple(rows)
-        self._deps = tuple(deps)
+        self._records = tuple(records)
         self._scale = scale
+        self._tags = None
         self._leads = None
         self._basis = None
+
+    def _replay(self) -> tuple:
+        """(rows, deps): each echelon row's (tag, s), the tag taking s times
+        the row's values, and each dependent candidate's (leading monomial,
+        tag), replayed from the scan's records in scan order."""
+        if self._tags is None:
+            p = self.source.field.p
+            standard = set(self.sm)
+            rows, deps = [], []
+            for mono, parent, var, g0, steps in self._records:
+                if parent is None:
+                    tag, s = {mono: 1}, 1
+                else:
+                    # the parent's tag times the variable takes ps * g0
+                    # times the candidate's values
+                    ptag, ps = rows[parent]
+                    tag = {_times(m, var): x for m, x in ptag.items()}
+                    tag, s = _tag_step(p, tag, 1, {}, 0, ps * g0)
+                for j, f, g in steps:
+                    (pivot, prow), (jtag, js) = self._rows[j], rows[j]
+                    tag, s = _tag_step(p, tag, js * prow[pivot], jtag, s * f, js * s * g)
+                if mono in standard:
+                    rows.append((tag, s))
+                else:
+                    deps.append((mono, tag))
+            self._tags = rows, deps
+        return self._tags
 
     def _reduced(self) -> dict:
         """Each leading monomial's reduced element on the scaled points, in
@@ -172,7 +218,7 @@ class GroebnerData:
             kernel = _IntKernel(self.source.field)
             standard = set(self.sm)
             leads = {}
-            for lm, tag in self._deps:
+            for lm, tag in self._replay()[1]:
                 tail, _ = _reduce_tag(tag, leads, standard, kernel.field.p)
                 # leading coefficient first, for the kernel's direction
                 terms = [lm, *(m for m in tail if m != lm)]
@@ -219,7 +265,7 @@ class GroebnerData:
     def indicator_expansion(self, point) -> Polynomial:
         """Expansion of the function that is 1 at the point, 0 at the others."""
         V = self.source
-        kernel = _IntKernel(V.field)
+        p = V.field.p
         # the point's unit vector, with the tag {None: 1}, None standing for
         # the point's indicator chi: each scan row is zero at the pivots of
         # the rows before it, so one pass in scan order clears the values
@@ -227,12 +273,14 @@ class GroebnerData:
         # on the scaled points
         row = [0] * len(V)
         row[V.index_of(point)] = 1
-        tag = {None: 1}
-        for pivot, prow, ptag in self._rows:
-            if row[pivot]:
-                row, tag = _eliminate(kernel, row, tag, prow, ptag, pivot)
+        tag, s = {None: 1}, 1
+        for (pivot, prow), (ptag, ps) in zip(self._rows, self._replay()[0]):
+            f = row[pivot]
+            if f:
+                row, g = _content([prow[pivot] * a - f * b for a, b in zip(row, prow)], p)
+                tag, s = _tag_step(p, tag, ps * prow[pivot], ptag, s * f, ps * s * g)
         t = tag.pop(None)
-        terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), V.field.p)
+        terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), p)
         return self._polynomial(terms, -t * den)
 
     def separating_degree(self, point) -> int:
@@ -252,7 +300,7 @@ class GroebnerData:
         row = [0] * len(V)
         row[V.index_of(point)] = 1
         last = 0
-        for k, (pivot, prow, _) in enumerate(self._rows):
+        for k, (pivot, prow) in enumerate(self._rows):
             if row[pivot]:
                 row = kernel.eliminate(row, prow, pivot)
                 last = k
@@ -262,21 +310,21 @@ class GroebnerData:
         return max(mono_deg(m) for m in self.sm)
 
     def __repr__(self):
-        return f"GroebnerData(points={len(self.source)}, basis={len(self._deps)})"
+        return f"GroebnerData(points={len(self.source)}, basis={len(self._records) - len(self.sm)})"
 
 
 def buchberger_moller(V: PointSet) -> GroebnerData:
     """Groebner data of the vanishing ideal of a finite point set."""
-    kernel = _IntKernel(V.field)
-    points, scale = kernel.int_points(V.points)
+    p = V.field.p
+    points, scale = _IntKernel(V.field).int_points(V.points)
     npts = len(points)
     nvars = V.dim
     sm = []
     standard = set()
-    # echelon rows (pivot, values, tag), one per standard monomial
+    # echelon rows (pivot, values), one per standard monomial
     rows = []
-    # (leading monomial, tag) of each dependent candidate
-    deps = []
+    # (monomial, parent, var, g0, steps) of each candidate tested
+    records = []
     start = mono_one(nvars)
     # (key, monomial, index of its parent in sm, the variable it adds)
     heap = [(deglex_key(start), start, None, None)]
@@ -288,36 +336,34 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         if any(mono[:i] + (e - 1,) + mono[i + 1 :] not in standard for i, e in enumerate(mono) if e):
             continue
         if parent is None:
-            row, tag, first = [1] * npts, {mono: 1}, 0
+            row, g0, first = [1] * npts, 1, 0
         else:
-            # the parent's echelon row times the variable is zero at the
+            # the parent's echelon row times the coordinate is zero at the
             # pivots of the rows before the parent
-            _, prow, ptag = rows[parent]
-            row, tag = _normalized(
-                kernel,
-                [a * p[var] for a, p in zip(prow, points)],
-                {_times(m, var): x for m, x in ptag.items()},
-            )
+            row, g0 = _content([a * q[var] for a, q in zip(rows[parent][1], points)], p)
             first = parent
-        for pivot, prow, ptag in rows[first:]:
-            if row[pivot]:
-                row, tag = _eliminate(kernel, row, tag, prow, ptag, pivot)
+        steps = []
+        for j, (pivot, prow) in enumerate(rows[first:], first):
+            f = row[pivot]
+            if f:
+                row, g = _content([prow[pivot] * a - f * b for a, b in zip(row, prow)], p)
+                steps.append((j, f, g))
+        records.append((mono, parent, var, g0, steps))
         pivot = next((i for i in range(npts) if row[i]), None)
         if pivot is None:
-            deps.append((mono, tag))
-        elif len(sm) == npts:
+            continue
+        if len(sm) == npts:
             # once |sm| = |V| the standard monomials span all functions on
             # the set, so every remaining border candidate must be dependent
             raise InvariantError("independent monomial found beyond a spanning set")
-        else:
-            rows.append((pivot, row, tag))
-            sm.append(mono)
-            standard.add(mono)
-            for i in range(nvars):
-                child = _times(mono, i)
-                if child not in seen:
-                    seen.add(child)
-                    heapq.heappush(heap, (deglex_key(child), child, len(sm) - 1, i))
+        rows.append((pivot, row))
+        sm.append(mono)
+        standard.add(mono)
+        for i in range(nvars):
+            child = _times(mono, i)
+            if child not in seen:
+                seen.add(child)
+                heapq.heappush(heap, (deglex_key(child), child, len(sm) - 1, i))
     if len(sm) != npts:
         raise InvariantError("monomial scan terminated before spanning the point set")
-    return GroebnerData(V, sm, rows, deps, scale)
+    return GroebnerData(V, sm, rows, records, scale)

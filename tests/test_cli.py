@@ -520,6 +520,34 @@ def test_hardest_random_sets_keep_their_witness_covers(tmp_path, capsys):
         assert out == report.replace("@FILE@", json.dumps(str(path)))
 
 
+class TagsBuilt(Exception):
+    pass
+
+
+def test_solve_and_bound_never_build_the_tags(monkeypatch, tmp_path, capsys):
+    # the scan keeps value rows only; the separating degrees read those, so
+    # a gap set's solve and bound print the same bytes when the tags cannot
+    # be replayed
+    points, _ = HARD_SETS[0]
+    path = tmp_path / "hard.txt"
+    path.write_text("field rational\ndim 2\n" + "".join(f"point {x} {y}\n" for x, y in points))
+    calls = [
+        ("solve", str(path), "--point", "0"),
+        ("bound", str(path), "--method", "cert", "--point", "0"),
+        ("bound", str(path), "--method", "all"),
+    ]
+    expected = [run(capsys, *argv, "--json", "--no-timings") for argv in calls]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def unbuildable(self):
+        raise TagsBuilt
+
+    monkeypatch.setattr(GroebnerData, "_replay", unbuildable)
+    assert [run(capsys, *argv, "--json", "--no-timings") for argv in calls] == expected
+    with pytest.raises(TagsBuilt):
+        main(["gb", str(path), "--no-timings"])
+
+
 def test_bound_point_needs_a_per_point_method(capsys):
     for method in ("count", "cube"):
         code, out, err = run(capsys, "bound", "--family", "cube:4", "--method", method, "--point", "3")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate
 from almostcover.fields import GF, QQ, scalar_field
-from almostcover.linalg import PointSet, rref
+from almostcover.linalg import PointSet, _IntKernel, rref
 from almostcover import vanishing
 from almostcover.polyring import Polynomial, deglex_key, mono_deg
 from almostcover.vanishing import buchberger_moller
@@ -273,6 +274,32 @@ def test_basis_and_indicators_on_fractional_and_large_prime_sets(V):
         assert [chi.evaluate(q) for q in V.points] == [int(q == p) for q in V.points]
 
 
+def int_value(tag, point, p):
+    """The int polynomial ``tag`` at an int point, reduced mod p over GF(p)."""
+    total = sum(x * math.prod(c**e for c, e in zip(point, m)) for m, x in tag.items())
+    return total if p is None else total % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_point_sets(fields=(QQ, GF(5), MERSENNE)))
+def test_replayed_tags_take_the_scaled_values_of_their_rows(V):
+    # the scan keeps values only; the tags replayed from its records must
+    # take s times each row's values on the scaled points, and vanish there
+    # for each dependent candidate
+    data = buchberger_moller(V)
+    points, _ = _IntKernel(V.field).int_points(V.points)
+    p = V.field.p
+    rows, deps = data._replay()
+    assert len(rows) == len(data._rows) == len(V)
+    for (_, values), (tag, s), lead in zip(data._rows, rows, data.sm):
+        assert s != 0 and (p is None or s == 1)
+        assert max(tag, key=deglex_key) == lead
+        expected = [s * x if p is None else x for x in values]
+        assert [int_value(tag, q, p) for q in points] == expected
+    assert [m for m, _ in deps] == [max(t, key=deglex_key) for _, t in deps]
+    assert all(int_value(tag, q, p) == 0 for _, tag in deps for q in points)
+
+
 @st.composite
 def polynomials_on(draw, V):
     """A polynomial of degree at most 4 in V's variables, over V's field;
@@ -397,22 +424,14 @@ def test_basis_rewrites_a_non_standard_tail_term(monkeypatch):
     assert_basis_matches_reference(V)
 
 
-def test_scan_starts_each_candidate_from_its_parents_row(monkeypatch):
+def test_scan_starts_each_candidate_from_its_parents_row():
     # reducing every candidate against every earlier row took 2,873
     # eliminations on perm:5; starting from the parent's echelon row,
-    # which is zero at the pivots before it, takes about 200
-    eliminate = vanishing._eliminate
-    count = 0
-
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return eliminate(*args)
-
-    monkeypatch.setattr(vanishing, "_eliminate", counted)
+    # which is zero at the pivots before it, takes about 200; the scan
+    # records each elimination as one step
     data = buchberger_moller(generate(FamilySpec.parse("perm:5")))
     assert len(data.sm) == 120
-    assert 0 < count <= 300
+    assert 0 < sum(len(steps) for *_, steps in data._records) <= 300
 
 
 # (field, coordinates, largest dimension): 0-1 grids give the scan's value
