@@ -33,15 +33,7 @@ from .families import (
     szw_sharp_polynomial,
 )
 from .fields import GF, QQ, Field, GFElement
-from .linalg import (
-    AffineMap,
-    AffineSubspace,
-    Hyperplane,
-    PointSet,
-    affine_span,
-    hyperplane_containing_avoiding,
-    rref,
-)
+from .linalg import AffineMap, Hyperplane, PointSet
 from .pointfile import load_pointset, parse_pointset
 from .polyring import Polynomial, deglex_key
 from .vanishing import GroebnerData, buchberger_moller
@@ -51,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACNumbers",
     "AffineMap",
-    "AffineSubspace",
     "BoundReport",
     "CoverSolution",
     "Field",
@@ -66,7 +57,6 @@ __all__ = [
     "Polynomial",
     "QQ",
     "ac_numbers",
-    "affine_span",
     "ball_size",
     "buchberger_moller",
     "certificate_lower_bound",
@@ -76,12 +66,10 @@ __all__ = [
     "cube_counting_lower_bound",
     "deglex_key",
     "generate",
-    "hyperplane_containing_avoiding",
     "load_pointset",
     "min_almost_cover",
     "orbit_reduce",
     "parse_pointset",
-    "rref",
     "sharp_cover_vnk",
     "symmetry_generators",
     "szw_sharp_polynomial",

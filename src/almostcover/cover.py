@@ -28,13 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import lcm
 
 from .errors import InvariantError
-from .linalg import (
-    Hyperplane,
-    PointSet,
-    _IntKernel,
-    affine_span,
-    hyperplane_containing_avoiding,
-)
+from .linalg import Hyperplane, PointSet, _IntKernel
 from .vanishing import buchberger_moller
 
 __all__ = [
@@ -123,7 +117,7 @@ def _coatom_masks(V: PointSet):
     direction = kernel.direction
     pts, _ = kernel.int_points(V.points)
     m = len(pts)
-    top = affine_span(V.points).dim - 1
+    top = len(kernel.echelon([a - b for a, b in zip(p, pts[0])] for p in pts[1:])[0]) - 1
     if top <= 0:
         # a collinear V has its points as coatoms, a single point has none
         return tuple(1 << j for j in range(m)) if top == 0 else ()
@@ -362,12 +356,37 @@ class _Work:
 def realize_trace(V: PointSet, point, trace) -> Hyperplane:
     """A hyperplane through all the trace's points that avoids the given one.
 
-    It is ``hyperplane_containing_avoiding`` of the trace's span and the
-    point.  For a coatom of V it is one hyperplane at every point outside
-    the coatom (see ``_Work``).
+    The int differences of the trace's points are put in reduced echelon
+    form.  For each free column f, ascending, the null vector with f set and
+    every other free column 0 is a normal of a hyperplane through the
+    trace; the first one not orthogonal to point - base is taken.  Each
+    such vector is fixed by the trace's span up to scale, so the result
+    depends on the span alone.  For a coatom of V it is one hyperplane at
+    every point outside the coatom (see ``_Work``).
     """
-    span = affine_span([V.points[j] for j in trace])
-    return hyperplane_containing_avoiding(span, tuple(V.field.scalar(x) for x in point))
+    field = V.field
+    kernel = _IntKernel(field)
+    p = field.p
+    pts, scale = kernel.int_points([V.points[j] for j in trace] + [tuple(field.scalar(x) for x in point)])
+    base, v = pts[0], pts[-1]
+    rows, pivots = kernel.echelon([a - b for a, b in zip(q, base)] for q in pts[1:-1])
+    diff = [a - b for a, b in zip(v, base)]
+    # the null vectors times the product of the pivots, so that they are ints
+    lead = 1
+    for row, c in zip(rows, pivots):
+        lead *= row[c]
+    for f in range(V.dim):
+        if f in pivots:
+            continue
+        normal = [0] * V.dim
+        normal[f] = lead
+        for row, c in zip(rows, pivots):
+            normal[c] = -row[f] * lead // row[c]
+        dot = sum(a * d for a, d in zip(normal, diff))
+        if dot % p if p else dot:
+            offset = sum(a * b for a, b in zip(normal, base))
+            return Hyperplane(kernel.scalars(normal), kernel.scalars([offset], scale)[0])
+    raise ValueError("inseparable: the point lies in the trace's span")
 
 
 def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None) -> CoverSolution:

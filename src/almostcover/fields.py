@@ -6,10 +6,10 @@ residues, always reduced into [0, p).  No floating point appears anywhere;
 mixing scalars from different fields raises ``TypeError``.
 
 These are the scalars of the public API and of the independent checks
-(spans, hyperplanes, polynomial evaluation, cover verification).  The hot
-loops convert them to plain ints once and back at the end
-(``linalg._IntKernel``); the exhaustive hyperplane table reads a GF(p)
-scalar's residue ``value`` directly.
+(hyperplane evaluation, polynomial evaluation, cover verification).  The hot
+loops, witness realization among them, convert them to plain ints once and
+back at the end (``linalg._IntKernel``); the exhaustive hyperplane table
+reads a GF(p) scalar's residue ``value`` directly.
 """
 
 from __future__ import annotations

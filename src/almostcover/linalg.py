@@ -1,19 +1,19 @@
-"""Exact affine linear algebra: point sets, row reduction, spans, hyperplanes.
+"""Exact affine linear algebra: point sets, hyperplanes, affine maps, int rows.
 
 Points are plain tuples of field scalars.  All operations are pure and all
 results are canonical: row reduction picks the leftmost pivot in the first
 eligible row, and hyperplanes are scaled so their first nonzero normal entry
 is one, making every representation unique and reproducible.
 
-The hot loops (``rref`` here, Buchberger-Moeller in ``vanishing`` and the
-coatom enumeration in ``cover``) run on ``_IntKernel`` rows of plain ints:
-over the rationals a row is scaled to integers and kept free of common
-factors, over GF(p) it holds residues, and the coatom enumeration keeps rows
-as canonical directions.  The exhaustive hyperplane table in ``cover`` reads
-GF(p) residues too, without the kernel, so that it shares no code with the
-coatom enumeration it checks.  Field scalars are rebuilt only on the way
-out; spans, hyperplanes, maps and cover verification stay on them and so
-check the integer code independently.
+The hot loops (Buchberger-Moeller in ``vanishing``, and the coatom
+enumeration, ranks and witness hyperplanes in ``cover``) run on
+``_IntKernel`` rows of plain ints: over the rationals a row is scaled to
+integers and kept free of common factors, over GF(p) it holds residues, and
+the coatom enumeration keeps rows as canonical directions.  The exhaustive
+hyperplane table in ``cover`` reads GF(p) residues too, without the kernel,
+so that it shares no code with the coatom enumeration it checks.  Field
+scalars are rebuilt only on the way out; hyperplane evaluation, maps and
+cover verification stay on them and so check the integer code independently.
 """
 
 from __future__ import annotations
@@ -68,6 +68,30 @@ class _IntKernel:
         pv, f = prow[c], row[c]
         return self.normalize([pv * a - f * b for a, b in zip(row, prow)])
 
+    def echelon(self, rows):
+        """(rows, pivots): the int rows in reduced echelon form, zero rows dropped.
+
+        Pivot choice is the leftmost nonzero column, first eligible row, and
+        each pivot column is cleared in every other row, as in Gauss-Jordan
+        elimination; row i is a nonzero multiple of the reduced row with
+        pivot pivots[i].
+        """
+        rows = [self.normalize(list(row)) for row in rows]
+        pivots = []
+        r = 0
+        for c in range(len(rows[0]) if rows else 0):
+            hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if hit is None:
+                continue
+            rows[r], rows[hit] = rows[hit], rows[r]
+            prow = rows[r]
+            for i, row in enumerate(rows):
+                if row[c] and i != r:
+                    rows[i] = self.eliminate(row, prow, c)
+            pivots.append(c)
+            r += 1
+        return rows[:r], pivots
+
     def direction(self, row) -> tuple:
         """The multiple of a nonzero row shared by exactly the rows parallel to it.
 
@@ -104,39 +128,6 @@ class _IntKernel:
             return tuple(Fraction(x, den) for x in row)
         inv = pow(den, -1, p)
         return tuple(GFElement(x * inv, p) for x in row)
-
-
-def rref(matrix):
-    """Reduced row echelon form of a rectangular scalar matrix.
-
-    Returns (rank, rows, pivot_columns) with rows as tuples.  Pivot choice is
-    the leftmost nonzero column, first eligible row; pivots are normalized to
-    one and cleared above and below.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0, (), ()
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix")
-    kernel = _IntKernel(_entry_field(x for r in rows for x in r))
-    rows = [kernel.normalize(kernel.ints(r)[0]) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        prow = rows[r]
-        for i, row in enumerate(rows):
-            if row[c] and i != r:
-                rows[i] = kernel.eliminate(row, prow, c)
-        pivots.append(c)
-        r += 1
-    out = [kernel.scalars(row, row[c]) for row, c in zip(rows, pivots)]
-    out.extend(kernel.scalars(row) for row in rows[r:])
-    return r, tuple(out), tuple(pivots)
 
 
 class PointSet:
@@ -190,57 +181,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({self.field!r}, dim={self.dim}, n={len(self.points)})"
-
-
-class AffineSubspace:
-    """base + span(directions), directions kept in reduced echelon form."""
-
-    __slots__ = ("base", "rows", "pivots")
-
-    def __init__(self, base, rows, pivots):
-        self.base = tuple(base)
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.base)
-
-    def residual(self, vector):
-        """Remainder of a vector after eliminating against the direction rows."""
-        v = list(vector)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, point) -> bool:
-        if len(point) != len(self.base):
-            raise ValueError("dimension mismatch")
-        return not any(self.residual([x - b for x, b in zip(point, self.base)]))
-
-    def __repr__(self):
-        return f"AffineSubspace(dim={self.dim}, ambient={len(self.base)})"
-
-
-def affine_span(points) -> AffineSubspace:
-    """Smallest affine subspace containing the given nonempty points."""
-    points = [tuple(p) for p in points]
-    if not points:
-        raise ValueError("affine span of no points")
-    base = points[0]
-    if any(len(p) != len(base) for p in points):
-        raise ValueError("points of differing dimensions")
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    if not diffs:
-        return AffineSubspace(base, (), ())
-    rank, rows, pivots = rref(diffs)
-    return AffineSubspace(base, rows[:rank], pivots)
 
 
 class Hyperplane:
@@ -301,36 +241,6 @@ class Hyperplane:
         return f"Hyperplane({self.as_text()})"
 
 
-def hyperplane_containing_avoiding(subspace: AffineSubspace, point) -> Hyperplane:
-    """A hyperplane containing the subspace but not the point.
-
-    The normal comes from the canonical null-space basis of the direction
-    rows (read off the reduced echelon form, free columns in ascending
-    order); the first basis vector not orthogonal to point - base works.
-    Such a vector always exists when the point is outside the subspace.
-    """
-    n = subspace.ambient_dim
-    if len(point) != n:
-        raise ValueError("dimension mismatch")
-    if subspace.dim >= n:
-        raise ValueError("no proper hyperplane contains a full-dimensional subspace")
-    field = scalar_field(subspace.base[0])
-    zero, one = field.zero(), field.one()
-    diff = [x - b for x, b in zip(point, subspace.base)]
-    pivot_row = {p: i for i, p in enumerate(subspace.pivots)}
-    for free in range(n):
-        if free in pivot_row:
-            continue
-        normal = [zero] * n
-        normal[free] = one
-        for p, i in pivot_row.items():
-            normal[p] = -subspace.rows[i][free]
-        if sum(a * d for a, d in zip(normal, diff)):
-            offset = sum(a * b for a, b in zip(normal, subspace.base))
-            return Hyperplane(normal, offset)
-    raise ValueError("inseparable: the point lies in the subspace")
-
-
 class AffineMap:
     """Invertible affine transformation x -> matrix . x + translation."""
 
@@ -342,8 +252,8 @@ class AffineMap:
         n = len(self.translation)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("matrix shape does not match translation length")
-        rank, _, _ = rref(self.matrix)
-        if rank != n:
+        kernel = _IntKernel(_entry_field(x for row in self.matrix for x in row))
+        if len(kernel.echelon(kernel.ints(row)[0] for row in self.matrix)[0]) != n:
             raise ValueError("affine map matrix is singular")
 
     @classmethod

@@ -16,9 +16,11 @@ from almostcover.cover import (
 from almostcover.cover import _min_cover_over_masks
 from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate, symmetry_generators
-from almostcover.fields import GF, QQ
-from almostcover.linalg import AffineMap, Hyperplane, PointSet, affine_span
+from almostcover.fields import GF, QQ, GFElement, scalar_field
+from almostcover.linalg import AffineMap, Hyperplane, PointSet
 from almostcover.vanishing import GroebnerData, buchberger_moller
+
+from test_linalg import AffineSpan
 
 
 def qpoints(rows):
@@ -103,16 +105,14 @@ def test_traces_avoiding_are_closed_realizable_and_cover():
                 assert v_idx not in trace
                 covered.update(trace)
                 pts = as_points(V, trace)
-                span = affine_span(pts)
+                span = AffineSpan(pts)
                 # affinely closed: the span catches no other set point
                 inside = {
                     j for j, p in enumerate(V.points) if span.contains(p)
                 }
                 assert inside == set(trace)
                 # realizable by a hyperplane avoiding v
-                from almostcover.linalg import hyperplane_containing_avoiding
-
-                H = hyperplane_containing_avoiding(span, v)
+                H = span.witness(v)
                 assert all(H.contains(p) for p in pts)
                 assert not H.contains(v)
             assert covered == set(range(len(V))) - {v_idx}
@@ -483,7 +483,7 @@ def naive_traces_avoiding(V, v):
     closures = set()
     for size in range(1, V.dim + 1):
         for subset in itertools.combinations(others, size):
-            span = affine_span([V.points[j] for j in subset])
+            span = AffineSpan([V.points[j] for j in subset])
             closure = frozenset(
                 j for j, p in enumerate(V.points) if span.contains(p)
             )
@@ -639,7 +639,7 @@ def test_every_trace_is_a_maximal_hyperplane_trace(V):
             # maximal: v lies in the span of T and any other point u.  As
             # neither u nor v is in span(T), that holds exactly when u lies
             # in span(T + v), which takes one span per trace
-            span = affine_span(as_points(V, trace) + [v])
+            span = AffineSpan(as_points(V, trace) + [v])
             assert all(span.contains(p) for p in V.points)
 
 
@@ -656,10 +656,10 @@ def test_separating_degree_is_the_indicator_degree(V):
 def test_traces_are_every_coatom_avoiding_the_point_once(V):
     # the coatoms from spans on field scalars: with d = dim aff(V), the sets
     # meet(aff(S), V) over the d-point subsets S whose span has dimension d - 1
-    d = affine_span(V.points).dim
+    d = AffineSpan(V.points).dim
     coatoms = set()
     for S in itertools.combinations(V.points, d):
-        span = affine_span(list(S))
+        span = AffineSpan(S)
         if span.dim == d - 1:
             coatoms.add(tuple(j for j, p in enumerate(V.points) if span.contains(p)))
     for v_idx, v in enumerate(V.points):
@@ -752,15 +752,15 @@ def test_ac_numbers_matches_standalone_solves():
             assert numbers.per_point[idx] == alone.size
 
 
-def test_ac_numbers_spans_each_witness_trace_once(monkeypatch):
-    span = cover.affine_span
+def test_ac_numbers_realizes_each_witness_trace_once(monkeypatch):
+    realize = cover.realize_trace
     calls = []
 
-    def counting(points):
-        calls.append(points)
-        return span(points)
+    def counting(V, point, trace):
+        calls.append(trace)
+        return realize(V, point, trace)
 
-    monkeypatch.setattr(cover, "affine_span", counting)
+    monkeypatch.setattr(cover, "realize_trace", counting)
     for spec in ("cube:4", "perm:3", "perm:4", "vnk:5:2"):
         calls.clear()
         V = generate(FamilySpec.parse(spec))
@@ -770,8 +770,19 @@ def test_ac_numbers_spans_each_witness_trace_once(monkeypatch):
             for sol in numbers.solutions.values()
             for H in sol.hyperplanes
         }
-        # one span of V for the coatoms, then one per distinct witness trace
-        assert len(calls) == 1 + len(traces), spec
+        # one realization per distinct witness trace, and no other
+        assert len(calls) == len(traces), spec
+
+
+def assert_is_the_reference_witness(H, span, v):
+    """H is the field-scalar witness of the span and v, with exact scalars.
+
+    Fraction and GFElement compare equal to plain ints, so the equality
+    alone would not see an int or a float that slipped out of the int code.
+    """
+    assert H == span.witness(v)
+    exact = Fraction if scalar_field(v[0]).is_rational else GFElement
+    assert all(type(x) is exact for x in (*H.normal, H.offset))
 
 
 @settings(max_examples=15, deadline=None)
@@ -785,7 +796,11 @@ def test_a_coatom_has_one_witness_at_every_point_outside_it(V):
     for mask in cover._coatom_masks(V):
         trace = cover._indices(mask)
         outside = [v for j, v in enumerate(V.points) if not mask >> j & 1]
-        assert len({realize_trace(V, v, trace) for v in outside}) == 1
+        witnesses = [realize_trace(V, v, trace) for v in outside]
+        assert len(set(witnesses)) == 1
+        span = AffineSpan(as_points(V, trace))
+        for v, H in zip(outside, witnesses):
+            assert_is_the_reference_witness(H, span, v)
 
 
 def test_a_trace_that_is_no_coatom_needs_a_witness_per_point():
@@ -797,6 +812,7 @@ def test_a_trace_that_is_no_coatom_needs_a_witness_per_point():
     chosen = set()
     for v in V.points[1:]:
         H = realize_trace(V, v, (0,))
+        assert_is_the_reference_witness(H, AffineSpan([V.points[0]]), v)
         assert verify_cover(V, v, [H], hits) == verify_cover(V, v, [H])
         chosen.add(H)
     assert len(chosen) == 3

@@ -3,59 +3,38 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from almostcover.cover import realize_trace
 from almostcover.fields import GF, QQ, scalar_field
-from almostcover.linalg import (
-    AffineMap,
-    Hyperplane,
-    PointSet,
-    affine_span,
-    hyperplane_containing_avoiding,
-    _IntKernel,
-    rref,
-)
+from almostcover.linalg import AffineMap, Hyperplane, PointSet, _IntKernel
 
 
-def qmat(rows):
-    return [[QQ.scalar(x) for x in row] for row in rows]
+def qpoint(*coords):
+    return tuple(QQ.scalar(x) for x in coords)
 
 
 def test_rref_identity():
-    rank, rows, pivots = rref(qmat([[1, 0], [0, 1]]))
-    assert rank == 2
-    assert rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert pivots == (0, 1)
+    assert _IntKernel(QQ).echelon([[1, 0], [0, 1]]) == ([[1, 0], [0, 1]], [0, 1])
 
 
 def test_rref_dependent_rows():
-    rank, rows, pivots = rref(qmat([[1, 2], [2, 4]]))
-    assert rank == 1
-    assert rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
-    assert pivots == (0,)
+    assert _IntKernel(QQ).echelon([[1, 2], [2, 4]]) == ([[1, 2]], [0])
 
 
 def test_rref_gf2():
-    F = GF(2)
-    rank, rows, _ = rref([[F.scalar(1), F.scalar(1)], [F.scalar(1), F.scalar(2)]])
-    assert rank == 2
-    assert [[x.value for x in r] for r in rows] == [[1, 0], [0, 1]]
+    assert _IntKernel(GF(2)).echelon([[1, 1], [1, 2]]) == ([[1, 0], [0, 1]], [0, 1])
 
 
-def test_rref_rejects_mixed_fields():
+def test_constructors_reject_mixed_fields():
     with pytest.raises(TypeError):
-        rref([[QQ.scalar(1), GF(3).scalar(1)]])
+        Hyperplane((QQ.scalar(1), GF(3).scalar(1)), 0)
     with pytest.raises(TypeError):
-        rref([[GF(3).scalar(1)], [GF(5).scalar(1)]])
-
-
-def test_rref_rejects_ragged():
-    with pytest.raises(ValueError):
-        rref(qmat([[1, 2], [1]]))
-    with pytest.raises(ValueError):
-        rref([[GF(7).scalar(1)], [GF(7).scalar(2), GF(7).scalar(3)]])
+        AffineMap([[QQ.scalar(1), GF(3).scalar(1)], [QQ.scalar(0), QQ.scalar(1)]], [0, 0])
+    with pytest.raises(TypeError):
+        AffineMap([[GF(3).scalar(1), GF(3).scalar(0)], [GF(5).scalar(0), GF(5).scalar(1)]], [0, 0])
 
 
 def reference_rref(matrix):
-    """Gauss-Jordan elimination on field scalars, the oracle for ``rref``.
+    """Gauss-Jordan elimination on field scalars, the oracle for ``_IntKernel.echelon``.
 
     Same pivot rule (leftmost nonzero column, first eligible row), but every
     step is plain Fraction/GFElement arithmetic.
@@ -74,10 +53,54 @@ def reference_rref(matrix):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return r, tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+class AffineSpan:
+    """aff(points) on field scalars, from ``reference_rref``: the oracle for spans.
+
+    The direction rows are the reduced rows of the differences to the first
+    point.  ``witness`` is the field-scalar counterpart of ``realize_trace``.
+    """
+
+    def __init__(self, points):
+        self.base = tuple(points[0])
+        diffs = [[x - b for x, b in zip(p, self.base)] for p in points[1:]]
+        self.dim, rows, self.pivots = reference_rref(diffs)
+        self.rows = rows[: self.dim]
+
+    def contains(self, point) -> bool:
+        """point - base is left with nothing after eliminating against the rows."""
+        v = [x - b for x, b in zip(point, self.base)]
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return not any(v)
+
+    def witness(self, point) -> Hyperplane:
+        """A hyperplane containing the span but not the point.
+
+        The normal comes from the canonical null-space basis of the direction
+        rows (free columns in ascending order, each with its own entry one);
+        the first basis vector not orthogonal to point - base works.
+        """
+        field = scalar_field(self.base[0])
+        n = len(self.base)
+        diff = [x - b for x, b in zip(point, self.base)]
+        for free in range(n):
+            if free in self.pivots:
+                continue
+            normal = [field.zero()] * n
+            normal[free] = field.one()
+            for row, c in zip(self.rows, self.pivots):
+                normal[c] = -row[free]
+            if sum(a * d for a, d in zip(normal, diff)):
+                return Hyperplane(normal, sum(a * b for a, b in zip(normal, self.base)))
+        raise ValueError("inseparable: the point lies in the span")
 
 
 ORACLE_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**61 - 1))
@@ -108,12 +131,14 @@ def field_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(field_matrices())
-def test_rref_matches_reference_gauss_jordan(matrix):
-    got = rref(matrix)
-    assert got == reference_rref(matrix)
-    # GFElement equals a plain int residue, so check the types separately
-    field = scalar_field(matrix[0][0])
-    assert all(scalar_field(x) == field for row in got[1] for x in row)
+def test_echelon_matches_reference_gauss_jordan(matrix):
+    kernel = _IntKernel(scalar_field(matrix[0][0]))
+    rows, pivots = kernel.echelon(kernel.ints(row)[0] for row in matrix)
+    rank, reduced, reference_pivots = reference_rref(matrix)
+    assert (len(rows), tuple(pivots)) == (rank, reference_pivots)
+    # each int row is proportional to its reduced row: divided by its pivot
+    # entry, it is that row
+    assert [kernel.scalars(row, row[c]) for row, c in zip(rows, pivots)] == list(reduced[:rank])
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -122,10 +147,9 @@ small_entries = st.integers(min_value=-4, max_value=4)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_rref_idempotent(raw):
-    _, rows, _ = rref(qmat(raw))
-    rank2, rows2, _ = rref(rows)
-    assert rows2 == rows
-    assert rank2 == sum(1 for r in rows if any(r))
+    kernel = _IntKernel(QQ)
+    rows, pivots = kernel.echelon(raw)
+    assert kernel.echelon(rows) == (rows, pivots)
 
 
 def test_kernel_direction_is_equal_exactly_for_parallel_rows():
@@ -161,27 +185,25 @@ def test_pointset_zero_one():
 
 
 def test_affine_span_single_point():
-    S = affine_span([(QQ.scalar(0), QQ.scalar(0))])
+    S = AffineSpan([qpoint(0, 0)])
     assert S.dim == 0
-    assert S.contains((QQ.scalar(0), QQ.scalar(0)))
-    assert not S.contains((QQ.scalar(1), QQ.scalar(0)))
+    assert S.contains(qpoint(0, 0))
+    assert not S.contains(qpoint(1, 0))
 
 
 def test_affine_span_collinear():
-    pts = [tuple(QQ.scalar(x) for x in p) for p in [(0, 0), (1, 1), (2, 2)]]
-    S = affine_span(pts)
+    S = AffineSpan([qpoint(0, 0), qpoint(1, 1), qpoint(2, 2)])
     assert S.dim == 1
     assert S.rows == ((Fraction(1), Fraction(1)),)
-    assert S.contains((QQ.scalar(7), QQ.scalar(7)))
-    assert not S.contains((QQ.scalar(1), QQ.scalar(0)))
+    assert S.contains(qpoint(7, 7))
+    assert not S.contains(qpoint(1, 0))
 
 
 def test_affine_span_plane():
-    pts = [tuple(QQ.scalar(x) for x in p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]]
-    S = affine_span(pts)
+    S = AffineSpan([qpoint(0, 0, 0), qpoint(1, 0, 0), qpoint(0, 1, 0)])
     assert S.dim == 2
-    with pytest.raises(ValueError):
-        affine_span([])
+    assert S.contains(qpoint(5, -3, 0))
+    assert not S.contains(qpoint(0, 0, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,10 +212,10 @@ def test_affine_span_plane():
     st.lists(st.tuples(small_entries, small_entries, small_entries), min_size=0, max_size=3),
 )
 def test_affine_span_monotone(first, extra):
-    pts_a = [tuple(QQ.scalar(x) for x in p) for p in first]
-    pts_b = pts_a + [tuple(QQ.scalar(x) for x in p) for p in extra]
-    A = affine_span(pts_a)
-    B = affine_span(pts_b)
+    pts_a = [qpoint(*p) for p in first]
+    pts_b = pts_a + [qpoint(*p) for p in extra]
+    A = AffineSpan(pts_a)
+    B = AffineSpan(pts_b)
     assert all(B.contains(p) for p in pts_a)
     assert A.dim <= B.dim
     # the span is no larger than the span of its own members
@@ -223,30 +245,32 @@ def test_hyperplane_evaluate():
 
 
 def test_separating_hyperplane_point_case():
-    S = affine_span([(QQ.scalar(1), QQ.scalar(0))])
-    H = hyperplane_containing_avoiding(S, (QQ.scalar(0), QQ.scalar(0)))
+    V = PointSet.from_ints(QQ, [(1, 0), (0, 0)])
+    H = realize_trace(V, qpoint(0, 0), (0,))
     assert H == Hyperplane.from_ints(QQ, (1, 0), 1)
+    assert H == AffineSpan([qpoint(1, 0)]).witness(qpoint(0, 0))
 
 
 def test_separating_hyperplane_line_case():
-    S = affine_span([(QQ.scalar(0), QQ.scalar(1)), (QQ.scalar(1), QQ.scalar(2))])
-    H = hyperplane_containing_avoiding(S, (QQ.scalar(0), QQ.scalar(0)))
+    V = PointSet.from_ints(QQ, [(0, 1), (1, 2), (0, 0)])
+    H = realize_trace(V, qpoint(0, 0), (0, 1))
     # x2 - x1 = 1 in canonical form
     assert H == Hyperplane.from_ints(QQ, (1, -1), -1)
-    assert H.contains((QQ.scalar(0), QQ.scalar(1)))
-    assert H.contains((QQ.scalar(1), QQ.scalar(2)))
-    assert not H.contains((QQ.scalar(0), QQ.scalar(0)))
+    assert H == AffineSpan(V.points[:2]).witness(qpoint(0, 0))
+    assert H.contains(qpoint(0, 1))
+    assert H.contains(qpoint(1, 2))
+    assert not H.contains(qpoint(0, 0))
 
 
 def test_separating_hyperplane_errors():
-    S = affine_span([(QQ.scalar(0), QQ.scalar(0))])
-    with pytest.raises(ValueError, match="inseparable"):
-        hyperplane_containing_avoiding(S, (QQ.scalar(0), QQ.scalar(0)))
-    full = affine_span(
-        [tuple(QQ.scalar(x) for x in p) for p in [(0, 0), (1, 0), (0, 1)]]
-    )
-    with pytest.raises(ValueError, match="no proper hyperplane"):
-        hyperplane_containing_avoiding(full, (QQ.scalar(5), QQ.scalar(5)))
+    # the point lies in the trace's span: the trace itself, a line through
+    # it, or the whole plane
+    V = PointSet.from_ints(QQ, [(0, 0), (1, 1), (2, 2), (0, 1)])
+    for point, trace in ((V.points[0], (0,)), (V.points[2], (0, 1)), (qpoint(5, 5), (0, 1, 3))):
+        with pytest.raises(ValueError, match="inseparable"):
+            realize_trace(V, point, trace)
+        with pytest.raises(ValueError, match="inseparable"):
+            AffineSpan([V.points[j] for j in trace]).witness(point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,14 +279,29 @@ def test_separating_hyperplane_errors():
     st.tuples(small_entries, small_entries, small_entries),
 )
 def test_separating_hyperplane_property(span_pts, outside):
-    pts = [tuple(QQ.scalar(x) for x in p) for p in span_pts]
-    v = tuple(QQ.scalar(x) for x in outside)
-    S = affine_span(pts)
-    if S.dim >= 3 or S.contains(v):
+    pts = [qpoint(*p) for p in dict.fromkeys(span_pts)]
+    v = qpoint(*outside)
+    S = AffineSpan(pts)
+    if S.contains(v):
         return
-    H = hyperplane_containing_avoiding(S, v)
+    H = realize_trace(PointSet(QQ, 3, pts + [v]), v, range(len(pts)))
+    assert H == S.witness(v)
     assert all(H.contains(p) for p in pts)
     assert not H.contains(v)
+
+
+def test_realize_trace_pins_scaled_and_modular_witnesses():
+    # the int points are these points times 6, so the int offset must be
+    # divided by 6 again
+    V = PointSet(QQ, 2, [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
+    assert realize_trace(V, V.points[2], (0, 1)) == Hyperplane.from_ints(QQ, (2, 3), 1)
+    assert realize_trace(V, V.points[0], (1, 2)) == Hyperplane.from_ints(QQ, (2, -3), -1)
+    assert realize_trace(V, V.points[1], (0,)) == Hyperplane(qpoint(1, 0), Fraction(1, 2))
+    # over GF(5) the first null vector, -x1 + 2 x2, has the int product 5
+    # with v - base, which is 0 mod 5, so the second one, x3, is the witness
+    W = PointSet.from_ints(GF(5), [(0, 0, 0), (2, 1, 0), (1, 3, 1), (1, 2, 3)])
+    assert realize_trace(W, W.points[2], (0, 1)) == Hyperplane.from_ints(GF(5), (0, 0, 1), 0)
+    assert realize_trace(W, W.points[0], (1, 3)) == Hyperplane.from_ints(GF(5), (1, 1, 0), 3)
 
 
 def test_affine_map():
@@ -273,3 +312,10 @@ def test_affine_map():
         AffineMap.from_ints(F, [[1, 1], [1, 1]], [0, 0])
     with pytest.raises(ValueError):
         AffineMap.from_ints(F, [[1, 0], [0, 1]], [0, 0, 0])
+    with pytest.raises(ValueError):
+        AffineMap.from_ints(F, [[1, 0], [0]], [0, 0])
+    # residues nonsingular over the rationals (determinant -3) but singular
+    # mod 3: the rank is taken in the map's own field
+    AffineMap.from_ints(F, [[1, 2], [2, 1]], [0, 0])
+    with pytest.raises(ValueError, match="singular"):
+        AffineMap.from_ints(GF(3), [[1, 2], [2, 1]], [0, 0])

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate
 from almostcover.fields import GF, QQ, scalar_field
-from almostcover.linalg import PointSet, _IntKernel, rref
+from almostcover.linalg import PointSet, _IntKernel
 from almostcover import vanishing
 from almostcover.polyring import Polynomial, deglex_key, mono_deg
 from almostcover.vanishing import buchberger_moller
+
+from test_linalg import reference_rref
 
 
 def qpoints(rows):
@@ -87,7 +89,7 @@ def test_two_point_line():
     assert [g.text() for g in data.basis] == ["x1^2 - x1"]
     # independent oracle: the claimed monomials interpolate every function,
     # i.e. their evaluation matrix has full rank under plain row reduction
-    rank, _, _ = rref(evaluation_matrix(data))
+    rank, _, _ = reference_rref(evaluation_matrix(data))
     assert rank == len(V)
 
 
@@ -101,7 +103,7 @@ def test_vnk21_matches_known_structure():
 def test_full_square_all_squarefree():
     data = buchberger_moller(cube(2))
     assert data.sm == ((0, 0), (0, 1), (1, 0), (1, 1))
-    rank, _, _ = rref(evaluation_matrix(data))
+    rank, _, _ = reference_rref(evaluation_matrix(data))
     assert rank == 4
 
 
@@ -189,7 +191,7 @@ def test_partition_of_unity_and_independence():
             vectors.append([exp.terms.get(m, QQ.zero()) for m in data.sm])
         for p in V.points:
             assert total.evaluate(p) == 1
-        rank, _, _ = rref(vectors)
+        rank, _, _ = reference_rref(vectors)
         assert rank == len(V)
 
 
@@ -357,7 +359,7 @@ def reference_indicator_expansions(data):
         row + [field.one() if i == j else field.zero() for i in range(n)]
         for j, row in enumerate(evaluation_matrix(data))
     ]
-    rank, reduced, _ = rref(rows)
+    rank, reduced, _ = reference_rref(rows)
     assert rank == n
     # row i of the inverse holds sm[i]'s coefficient in every indicator
     return [{m: row[n + j] for m, row in zip(data.sm, reduced) if row[n + j]} for j in range(n)]
