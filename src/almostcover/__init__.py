@@ -2,9 +2,10 @@
 
 The package computes, in exact arithmetic over the rationals or GF(p):
 reduced deglex bases of vanishing ideals of finite point sets, standard
-monomials and indicator expansions, the counting and certificate lower
-bounds on almost-cover numbers, and exact minimum almost covers via
-branch-and-bound over affinely closed traces.
+monomials, normal forms and the degree of each point's indicator in normal
+form, the counting and certificate lower bounds on almost-cover numbers,
+and exact minimum almost covers via branch-and-bound over affinely closed
+traces.
 """
 
 from .bounds import (

@@ -53,7 +53,11 @@ def is_prime(n: int) -> bool:
 
 
 class GFElement:
-    """Residue modulo a prime p.  Arithmetic wraps; division by zero raises."""
+    """Residue modulo a prime p.  Arithmetic wraps; division by zero raises.
+
+    The operators mirror ``Fraction``'s, an int read as its residue: ``-a``,
+    ``1 - a``, ``1 / a`` and ``a ** k`` for any int k, which ``Polynomial.evaluate`` takes.
+    """
 
     __slots__ = ("value", "p")
 
@@ -215,6 +219,7 @@ class Field:
         return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
+        """Equal fields hash alike; without it ``__eq__`` leaves them unhashable."""
         return hash(("Field", self.p))
 
     def __repr__(self):

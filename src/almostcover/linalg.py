@@ -242,26 +242,21 @@ class Hyperplane:
 
 
 class AffineMap:
-    """Invertible affine transformation x -> matrix . x + translation."""
+    """Invertible affine map x -> matrix . x + translation, in the matrix's field."""
 
     __slots__ = ("matrix", "translation")
 
     def __init__(self, matrix, translation):
         self.matrix = tuple(tuple(row) for row in matrix)
-        self.translation = tuple(translation)
-        n = len(self.translation)
+        translation = tuple(translation)
+        n = len(translation)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("matrix shape does not match translation length")
-        kernel = _IntKernel(_entry_field(x for row in self.matrix for x in row))
+        field = _entry_field(x for row in self.matrix for x in row)
+        self.translation = tuple(field.scalar(t) for t in translation)
+        kernel = _IntKernel(field)
         if len(kernel.echelon(kernel.ints(row)[0] for row in self.matrix)[0]) != n:
             raise ValueError("affine map matrix is singular")
-
-    @classmethod
-    def from_ints(cls, field: Field, matrix, translation) -> "AffineMap":
-        return cls(
-            [[field.scalar(x) for x in row] for row in matrix],
-            [field.scalar(x) for x in translation],
-        )
 
     def apply(self, point):
         if len(point) != len(self.translation):

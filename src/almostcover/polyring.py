@@ -68,7 +68,11 @@ def deglex_key(mono) -> tuple:
 
 
 class Polynomial:
-    """Exact-coefficient polynomial; zero coefficients are never stored."""
+    """Exact-coefficient polynomial; zero coefficients are never stored.
+
+    ``terms`` maps monomials, tuples of nvars non-negative ints, to
+    coefficients coerced into the field; anything else raises.
+    """
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -78,7 +82,10 @@ class Polynomial:
         self.terms = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff:
+                ok = isinstance(mono, tuple) and len(mono) == nvars
+                if not (ok and all(isinstance(e, int) and e >= 0 for e in mono)):
+                    raise ValueError(f"monomial {mono!r} is not {nvars} non-negative ints")
+                if coeff := field.scalar(coeff):
                     self.terms[mono] = coeff
 
     @classmethod
@@ -87,7 +94,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field, nvars, value):
-        return cls(field, nvars, {mono_one(nvars): field.scalar(value)})
+        return cls(field, nvars, {mono_one(nvars): value})
 
     @classmethod
     def variable(cls, field, nvars, i):
@@ -100,6 +107,7 @@ class Polynomial:
         return not self.terms
 
     def __bool__(self):
+        """False exactly for the zero polynomial: value semantics, as for scalars."""
         return bool(self.terms)
 
     def degree(self) -> int:
@@ -164,6 +172,7 @@ class Polynomial:
         return total
 
     def __eq__(self, other):
+        """Same field, variable count and terms: value semantics, as for scalars."""
         return (
             isinstance(other, Polynomial)
             and self.field == other.field

@@ -15,9 +15,9 @@ division.  Both facts are relied on downstream and checked in the tests.
 The scan runs on integer kernel rows (see ``linalg``): rational points are
 scaled once to integers by their common denominator D, which scales a
 monomial of degree d by D^d, and that factor is undone when a basis
-polynomial or an indicator expansion is built.  Each standard monomial
-leaves one echelon row: its pivot and its values on the points, zero at the
-pivots of the rows before it and kept primitive (reduced mod p over GF(p)).
+polynomial or a normal form is built.  Each standard monomial leaves one
+echelon row: its pivot and its values on the points, zero at the pivots of
+the rows before it and kept primitive (reduced mod p over GF(p)).
 
 Every candidate after 1 is a standard monomial sm[k] times one variable, and
 it starts from row k times that variable's coordinate.  Those values are
@@ -29,25 +29,21 @@ The scan keeps no polynomials.  Each candidate leaves a record (mono,
 parent, var, g0, steps): g0 is the content taken from the parent's values
 times the coordinate, and each step (j, f, g) names the row used, the
 candidate's value f at that row's pivot, and the content g taken after
-(g = 1 over GF(p)).  On first use of the basis, a normal form or an
-indicator expansion, the records are replayed on tags: one polynomial (a
-dict from monomial to int) per candidate, which takes s times the
-candidate's values and is primitive together with them (s = 1 over GF(p)).
-A tag is led by its candidate and adds smaller monomials, each a
-combination of standard monomials found so far modulo the ideal; it may
-hold monomials that are not standard, such as a variable times a leading
-monomial.
+(g = 1 over GF(p)).  On first use of the basis or a normal form, the
+records are replayed on tags: one polynomial (a dict from monomial to int)
+per candidate, which takes s times the candidate's values and is primitive
+together with them (s = 1 over GF(p)).  A tag is led by its candidate and
+adds smaller monomials, each a combination of standard monomials found so
+far modulo the ideal; it may hold monomials that are not standard, such as
+a variable times a leading monomial.
 
 A dependent candidate's tag vanishes on the points.  The reduced basis is
 built from these tags, not by the scan: each tail's non-standard
 monomials are rewritten modulo the earlier basis elements, largest first,
 on the scan's ints.  The normal form is unique, so this is the reduced
-basis.  A point's indicator expansion reduces the point's unit vector
-against the echelon rows in scan order, combines their tags, and takes the
-normal form; no second elimination is run, and the rows are not changed
-after the scan.  The normal form of a given polynomial goes the same way:
-its coefficients are scaled to ints on the scaled points and rewritten by
-the same reduction.
+basis.  The normal form of a given polynomial goes the same way: its
+coefficients are scaled to ints on the scaled points and rewritten by the
+same reduction.
 """
 
 from __future__ import annotations
@@ -166,13 +162,11 @@ class GroebnerData:
     Built by ``buchberger_moller``, which hands over its echelon rows
     (pivot, values), one per standard monomial, the record of each
     candidate it tested, and the scale of its integer points.  The
-    separating degrees read the rows only and never build the tags; the
-    tags are replayed from the records on first use of the basis, a normal
-    form or an indicator expansion, and the reduced basis is built from the
-    dependent tags.  Each is kept once built.
+    separating degrees read the rows only; the basis and the normal forms
+    replay the tags from the records and keep the reduced elements.
     """
 
-    __slots__ = ("source", "sm", "_rows", "_records", "_scale", "_tags", "_leads", "_basis")
+    __slots__ = ("source", "sm", "_rows", "_records", "_scale", "_leads", "_basis")
 
     def __init__(self, source: PointSet, sm, rows, records, scale):
         self.source = source
@@ -180,7 +174,6 @@ class GroebnerData:
         self._rows = tuple(rows)
         self._records = tuple(records)
         self._scale = scale
-        self._tags = None
         self._leads = None
         self._basis = None
 
@@ -188,28 +181,26 @@ class GroebnerData:
         """(rows, deps): each echelon row's (tag, s), the tag taking s times
         the row's values, and each dependent candidate's (leading monomial,
         tag), replayed from the scan's records in scan order."""
-        if self._tags is None:
-            p = self.source.field.p
-            standard = set(self.sm)
-            rows, deps = [], []
-            for mono, parent, var, g0, steps in self._records:
-                if parent is None:
-                    tag, s = {mono: 1}, 1
-                else:
-                    # the parent's tag times the variable takes ps * g0
-                    # times the candidate's values
-                    ptag, ps = rows[parent]
-                    tag = {_times(m, var): x for m, x in ptag.items()}
-                    tag, s = _tag_step(p, tag, 1, {}, 0, ps * g0)
-                for j, f, g in steps:
-                    (pivot, prow), (jtag, js) = self._rows[j], rows[j]
-                    tag, s = _tag_step(p, tag, js * prow[pivot], jtag, s * f, js * s * g)
-                if mono in standard:
-                    rows.append((tag, s))
-                else:
-                    deps.append((mono, tag))
-            self._tags = rows, deps
-        return self._tags
+        p = self.source.field.p
+        standard = set(self.sm)
+        rows, deps = [], []
+        for mono, parent, var, g0, steps in self._records:
+            if parent is None:
+                tag, s = {mono: 1}, 1
+            else:
+                # the parent's tag times the variable takes ps * g0 times
+                # the candidate's values
+                ptag, ps = rows[parent]
+                tag = {_times(m, var): x for m, x in ptag.items()}
+                tag, s = _tag_step(p, tag, 1, {}, 0, ps * g0)
+            for j, f, g in steps:
+                (pivot, prow), (jtag, js) = self._rows[j], rows[j]
+                tag, s = _tag_step(p, tag, js * prow[pivot], jtag, s * f, js * s * g)
+            if mono in standard:
+                rows.append((tag, s))
+            else:
+                deps.append((mono, tag))
+        return rows, deps
 
     def _reduced(self) -> dict:
         """Each leading monomial's reduced element on the scaled points, in
@@ -262,38 +253,17 @@ class GroebnerData:
         terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), V.field.p)
         return self._polynomial(terms, common * den * self._scale**top)
 
-    def indicator_expansion(self, point) -> Polynomial:
-        """Expansion of the function that is 1 at the point, 0 at the others."""
-        V = self.source
-        p = V.field.p
-        # the point's unit vector, with the tag {None: 1}, None standing for
-        # the point's indicator chi: each scan row is zero at the pivots of
-        # the rows before it, so one pass in scan order clears the values
-        # and leaves t at None and monomials that take the values -t * chi
-        # on the scaled points
-        row = [0] * len(V)
-        row[V.index_of(point)] = 1
-        tag, s = {None: 1}, 1
-        for (pivot, prow), (ptag, ps) in zip(self._rows, self._replay()[0]):
-            f = row[pivot]
-            if f:
-                row, g = _content([prow[pivot] * a - f * b for a, b in zip(row, prow)], p)
-                tag, s = _tag_step(p, tag, ps * prow[pivot], ptag, s * f, ps * s * g)
-        t = tag.pop(None)
-        terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), p)
-        return self._polynomial(terms, -t * den)
-
     def separating_degree(self, point) -> int:
         """Degree of the normal form of the point's indicator function.
 
         This is the least possible degree of a polynomial vanishing on all
         other points of the set but not at this one.
 
-        It runs the reduction of ``indicator_expansion`` on the values
-        only, which make every choice of it.  Row k's tag is led by sm[k],
-        and the normal form keeps a standard leading monomial, so the
-        expansion's leading monomial is sm[k] for the last row k used; and
-        deglex degrees do not fall in scan order.
+        Reducing the point's unit vector against the echelon rows in scan
+        order writes the indicator as a combination of the rows used.  Row k
+        takes the values of a polynomial led by sm[k], which its normal form
+        keeps, so the indicator's normal form is led by sm[k] for the last
+        row k used, and deglex compares degrees first.
         """
         V = self.source
         kernel = _IntKernel(V.field)

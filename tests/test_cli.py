@@ -562,6 +562,21 @@ def test_bound_point_needs_a_per_point_method(capsys):
         assert json.loads(out)["results"]["certificate"]["certificate_point"] == ["0", "0", "1", "1"]
 
 
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    # each print line of the Library block ends in a comment that starts
+    # with what it prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    comments = [re.fullmatch(r"print\(.*\)\s+# (.*)", line) for line in prints]
+    assert prints and all(comments)
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments)
+    for out, comment in zip(printed, comments):
+        assert comment[1].startswith(out)
+
+
 def test_the_console_script_runs_main(capsys):
     # the almostcover command that pyproject.toml installs
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -105,8 +105,13 @@ def test_gf13_field_axioms(x, y, z):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == 0
+    # the reflected operators and negative powers, as a Fraction has them,
+    # checked against plain residue arithmetic
+    assert (1 - a).value == (1 - x) % 13
     if a:
         assert a * a.inverse() == 1
+        assert (1 / a).value == pow(x, -1, 13)
+        assert (a**-2).value == pow(x, -2, 13)
 
 
 @given(gf_values)

@@ -304,18 +304,42 @@ def test_realize_trace_pins_scaled_and_modular_witnesses():
     assert realize_trace(W, W.points[0], (1, 3)) == Hyperplane.from_ints(GF(5), (1, 1, 0), 3)
 
 
+def affine_map(field, matrix, translation):
+    """The AffineMap whose int matrix and translation are read in the field."""
+    return AffineMap(
+        [[field.scalar(x) for x in row] for row in matrix], [field.scalar(x) for x in translation]
+    )
+
+
 def test_affine_map():
     F = QQ
-    swap = AffineMap.from_ints(F, [[0, 1], [1, 0]], [0, 0])
+    swap = affine_map(F, [[0, 1], [1, 0]], [0, 0])
     assert swap.apply((F.scalar(1), F.scalar(2))) == (F.scalar(2), F.scalar(1))
     with pytest.raises(ValueError):
-        AffineMap.from_ints(F, [[1, 1], [1, 1]], [0, 0])
+        affine_map(F, [[1, 1], [1, 1]], [0, 0])
     with pytest.raises(ValueError):
-        AffineMap.from_ints(F, [[1, 0], [0, 1]], [0, 0, 0])
+        affine_map(F, [[1, 0], [0, 1]], [0, 0, 0])
     with pytest.raises(ValueError):
-        AffineMap.from_ints(F, [[1, 0], [0]], [0, 0])
+        affine_map(F, [[1, 0], [0]], [0, 0])
     # residues nonsingular over the rationals (determinant -3) but singular
     # mod 3: the rank is taken in the map's own field
-    AffineMap.from_ints(F, [[1, 2], [2, 1]], [0, 0])
+    affine_map(F, [[1, 2], [2, 1]], [0, 0])
     with pytest.raises(ValueError, match="singular"):
-        AffineMap.from_ints(GF(3), [[1, 2], [2, 1]], [0, 0])
+        affine_map(GF(3), [[1, 2], [2, 1]], [0, 0])
+
+
+def test_affine_map_reads_its_translation_in_the_matrix_field():
+    identity = [[QQ.one(), QQ.zero()], [QQ.zero(), QQ.one()]]
+    shift = AffineMap(identity, [1, 0])
+    assert shift.translation == (Fraction(1), Fraction(0))
+    assert all(type(t) is Fraction for t in shift.translation)
+    assert shift.apply(qpoint(Fraction(1, 2), 3)) == qpoint(Fraction(3, 2), 3)
+    # a translation from another field or from no field is rejected when
+    # the map is built, not by orbit_reduce's arithmetic later
+    with pytest.raises(TypeError, match="rational"):
+        AffineMap(identity, [GF(3).scalar(1), 0])
+    with pytest.raises(TypeError, match="rational"):
+        AffineMap(identity, ["x", 0])
+    gf = affine_map(GF(3), [[1, 0], [0, 1]], [0, 0]).matrix
+    with pytest.raises(TypeError, match="GF"):
+        AffineMap(gf, [Fraction(1, 2), 0])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almostcover.fields import GF, QQ
+from almostcover.fields import GF, QQ, GFElement
 from almostcover.linalg import PointSet
 from almostcover.polyring import Polynomial, deglex_key, mono_mul
 from almostcover.vanishing import buchberger_moller
@@ -11,7 +11,7 @@ from almostcover.vanishing import buchberger_moller
 
 def poly(terms, nvars=2, field=QQ):
     """The polynomial with the given {exponent tuple: int or Fraction} terms."""
-    return Polynomial(field, nvars, {mono: field.scalar(c) for mono, c in terms.items()})
+    return Polynomial(field, nvars, terms)
 
 
 def test_compare_degree_dominates():
@@ -39,6 +39,27 @@ def test_field_mismatch_rejected():
         poly({(1, 0): 1}) + poly({(1, 0): 1}, field=GF(3))
     with pytest.raises(ValueError):
         poly({(1, 0): 1}, nvars=2) + poly({(1, 0, 0): 1}, nvars=3)
+
+
+def test_constructor_reads_coefficients_in_the_field_and_checks_monomials():
+    # ints are read in the field: 3 is zero mod 3, so it is not stored
+    f = Polynomial(QQ, 2, {(1, 0): 2, (0, 0): 0})
+    assert f.terms == {(1, 0): Fraction(2)} and type(f.terms[(1, 0)]) is Fraction
+    assert Polynomial(GF(3), 1, {(1,): 3, (0,): 4}).terms == {(0,): GFElement(1, 3)}
+    for field, coeff in [
+        (QQ, 0.5),
+        (QQ, GF(3).scalar(1)),
+        (GF(3), Fraction(1, 2)),
+        (GF(3), GF(5).scalar(1)),
+        (GF(3), "1"),
+    ]:
+        with pytest.raises(TypeError):
+            Polynomial(field, 2, {(1, 0): coeff})
+    # normal_form would read a monomial of another length as one in two
+    # variables
+    for mono in [(1, 0, 0), (1,), (-1, 0), (Fraction(1), 0), ("1", 0), 1]:
+        with pytest.raises(ValueError, match="not 2 non-negative ints"):
+            Polynomial(QQ, 2, {mono: 1})
 
 
 def test_evaluate():
