@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from math import lcm
+from operator import mul
 
 from .errors import InvariantError
 from .linalg import Hyperplane, PointSet, _IntKernel
@@ -315,11 +316,10 @@ class _Work:
     aff(V) or meets V in T alone, and the first candidate that misses one
     point outside T misses them all.  In hyperplanes mode ``witnesses`` is
     V's hyperplane trace table, which already holds every trace's first
-    hyperplane, and ``coatoms`` is None.  ``hits`` maps a hyperplane to its
-    ``contains`` test at each point of V, None where not yet asked.
+    hyperplane, and ``coatoms`` is None.
     """
 
-    __slots__ = ("npoints", "coatoms", "data", "witnesses", "hits")
+    __slots__ = ("npoints", "coatoms", "data", "witnesses")
 
     def __init__(self, V: PointSet, mode):
         if mode == "closed":
@@ -332,7 +332,6 @@ class _Work:
             raise ValueError(f"unknown solve mode {mode!r}")
         self.npoints = len(V)
         self.data = buchberger_moller(V)
-        self.hits = {}
 
     def traces(self, v_idx):
         """The maximal traces avoiding point ``v_idx``, as masks by ascending index tuple.
@@ -413,7 +412,7 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None)
             H = work.witnesses[mask] = realize_trace(V, v_pt, _indices(mask))
         witnesses.append(H)
     witnesses = tuple(witnesses)
-    if not verify_cover(V, v_pt, witnesses, work.hits):
+    if not verify_cover(V, v_pt, witnesses):
         raise InvariantError("solver produced an invalid cover")
     if len(chosen) < floor:
         raise InvariantError("solver undercut the certificate lower bound")
@@ -427,41 +426,40 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None)
     )
 
 
-def verify_cover(V: PointSet, point, hyperplanes, _hits=None) -> bool:
+def verify_cover(V: PointSet, point, hyperplanes) -> bool:
     """True when the union covers every point of V except the given one.
 
-    Every test is ``H.contains`` on field scalars.  ``_hits`` maps each
-    hyperplane to its tests at V's points (None where not yet made) when the
-    caller shares them across the points of V; otherwise each test is made
-    here, at most once.
+    One int pass on its own scaling, not the int kernel that built the
+    witnesses.  V's points and the given one are scaled by one common
+    denominator d, and each hyperplane normal . x = offset by the lcm of its
+    own denominators to N . x = O; over GF(p) scalars are residues, d = 1.
+    A point x is on the hyperplane exactly when N . (d x) - d O is 0, mod p
+    over GF(p).  Each hyperplane is tested at the given point, then at the
+    points not yet covered.
     """
-    hits = {} if _hits is None else _hits
-    v_pt = tuple(V.field.scalar(x) for x in point)
-    v_idx = V._index.get(v_pt)
-    rows = []
+    p = V.field.p
+
+    def ints(values):
+        scale = 1 if p else lcm(*(x.denominator for x in values))
+        return [x.value if p else x.numerator * (scale // x.denominator) for x in values], scale
+
+    def off(normal, offset, x):
+        value = sum(map(mul, normal, x)) - offset
+        return value % p if p else value
+
+    flat, d = ints([*map(V.field.scalar, point), *itertools.chain.from_iterable(V.points)])
+    if len(flat) != V.dim * (len(V) + 1):
+        raise ValueError("dimension mismatch")
+    v, *rest = (flat[i : i + V.dim] for i in range(0, len(flat), V.dim))
+    rest = [q for q in rest if q != v]
     for H in hyperplanes:
-        row = hits.get(H)
-        if row is None:
-            row = hits[H] = [None] * len(V)
-        rows.append((H, row))
-    for H, row in rows:
-        hit = H.contains(v_pt) if v_idx is None else row[v_idx]
-        if hit is None:
-            hit = row[v_idx] = H.contains(v_pt)
-        if hit:
+        if len(H.normal) != V.dim:
+            raise ValueError("dimension mismatch")
+        *normal, offset = ints([*map(V.field.scalar, (*H.normal, H.offset))])[0]
+        if not off(normal, d * offset, v):
             return False
-    for j, u in enumerate(V.points):
-        if j == v_idx:
-            continue
-        for H, row in rows:
-            hit = row[j]
-            if hit is None:
-                hit = row[j] = H.contains(u)
-            if hit:
-                break
-        else:
-            return False
-    return True
+        rest = [q for q in rest if off(normal, d * offset, q)]
+    return not rest
 
 
 def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
@@ -508,8 +506,8 @@ def ac_numbers(V: PointSet, budget=None, generators=None, mode="closed") -> ACNu
     """Almost-cover numbers of every point: the per-point table, max and min.
 
     The coatom list (or, in hyperplanes mode, the hyperplane trace table),
-    the Groebner data, each coatom's witness hyperplane and each witness's
-    tests at the points are built once and shared by every point solved.
+    the Groebner data and each coatom's witness hyperplane are built once
+    and shared by every point solved.
     With symmetry generators, one representative per orbit is solved and the
     value shared across the orbit (covers map to covers under any affine
     symmetry of the set).

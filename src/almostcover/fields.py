@@ -5,11 +5,10 @@ lowest terms with positive denominator.  GF(p) scalars are ``GFElement``
 residues, always reduced into [0, p).  No floating point appears anywhere;
 mixing scalars from different fields raises ``TypeError``.
 
-These are the scalars of the public API and of the independent checks
-(hyperplane evaluation, polynomial evaluation, cover verification).  The hot
-loops, witness realization among them, convert them to plain ints once and
-back at the end (``linalg._IntKernel``); the exhaustive hyperplane table
-reads a GF(p) scalar's residue ``value`` directly.
+These are the scalars of the public API and of hyperplane and polynomial
+evaluation.  The hot loops, witness realization among them, convert them to
+plain ints once and back at the end (``linalg._IntKernel``); the exhaustive
+hyperplane table and the cover re-check read them as ints without the kernel.
 """
 
 from __future__ import annotations

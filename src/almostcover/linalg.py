@@ -10,10 +10,9 @@ enumeration, ranks and witness hyperplanes in ``cover``) run on
 ``_IntKernel`` rows of plain ints: over the rationals a row is scaled to
 integers and kept free of common factors, over GF(p) it holds residues, and
 the coatom enumeration keeps rows as canonical directions.  The exhaustive
-hyperplane table in ``cover`` reads GF(p) residues too, without the kernel,
-so that it shares no code with the coatom enumeration it checks.  Field
-scalars are rebuilt only on the way out; hyperplane evaluation, maps and
-cover verification stay on them and so check the integer code independently.
+hyperplane table and the cover re-check in ``cover`` read ints without the
+kernel, so they share no code with the enumeration and witnesses they check.
+Field scalars are rebuilt only on the way out, for evaluation and maps.
 """
 
 from __future__ import annotations
@@ -214,12 +213,14 @@ class Hyperplane:
         return cls([field.scalar(x) for x in normal], field.scalar(offset))
 
     def evaluate(self, point):
-        """normal . point - offset; zero exactly on the hyperplane."""
+        """normal . point - offset, the point read in the hyperplane's field; 0 exactly on it."""
         if len(point) != len(self.normal):
             raise ValueError("dimension mismatch")
-        return sum(a * x for a, x in zip(self.normal, point)) - self.offset
+        scalar = scalar_field(self.offset).scalar
+        return sum(a * scalar(x) for a, x in zip(self.normal, point)) - self.offset
 
     def contains(self, point) -> bool:
+        """Library API, and the tests' field-scalar reference for ``cover.verify_cover``."""
         return not self.evaluate(point)
 
     def as_text(self) -> str:

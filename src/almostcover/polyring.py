@@ -162,6 +162,7 @@ class Polynomial:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
+        point = [self.field.scalar(x) for x in point]
         total = self.field.zero()
         for mono, coeff in self.terms.items():
             v = coeff

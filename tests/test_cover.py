@@ -134,6 +134,54 @@ def test_verify_cover_examples():
     assert verify_cover(V, origin, good)
 
 
+def test_verify_cover_pins_the_point_scale_and_the_residues():
+    # x1 = 1/2 scales to 2 x1 = 1 and the points by d = 2: (1/2, 0) gives
+    # 2 * 1 - 2 * 1 = 0, which N . (d x) - O would read as 1
+    V = PointSet(QQ, 2, [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), 1)])
+    half = Hyperplane([Fraction(1), Fraction(0)], Fraction(1, 2))
+    assert verify_cover(V, V.points[0], [half])
+    assert not verify_cover(V, V.points[1], [half])
+    # x1 + x2 = 0 over GF(5) takes the int value 5 at (2, 3) and (1, 4)
+    W = PointSet.from_ints(GF(5), [(0, 1), (2, 3), (1, 4)])
+    line = Hyperplane.from_ints(GF(5), (1, 1), 0)
+    assert verify_cover(W, W.points[0], [line])
+    assert not verify_cover(W, W.points[1], [line])
+
+
+def test_verify_cover_uses_no_int_kernel(monkeypatch):
+    # the re-check must stay independent of the code that built the witnesses
+    fractional = PointSet(QQ, 2, [(0, 0), (Fraction(1, 3), 1), (Fraction(-1, 2), 2), (3, Fraction(1, 3))])
+    cases = []
+    for V in (fractional, gf3_plane_part()):
+        for v in V.points:
+            witnesses = min_almost_cover(V, v).hyperplanes
+            cases.append((V, v, witnesses, True))
+            cases.append((V, v, witnesses[1:], False))
+            # the cover at v holds V's first point unless v is that point
+            cases.append((V, V.points[0], witnesses, v == V.points[0]))
+
+    def refuse(*args):
+        raise AssertionError("verify_cover reached the int kernel")
+
+    monkeypatch.setattr(cover, "_IntKernel", refuse)
+    for V, v, witnesses, verdict in cases:
+        assert verify_cover(V, v, witnesses) is verdict
+
+
+def test_verify_cover_checks_its_inputs():
+    V = cube(2)
+    origin = V.points[0]
+    with pytest.raises(TypeError, match="rational"):
+        verify_cover(V, origin, [Hyperplane.from_ints(GF(3), (1, 0), 1)])
+    with pytest.raises(ValueError, match="dimension"):
+        verify_cover(V, origin, [Hyperplane.from_ints(QQ, (1, 0, 0), 1)])
+    # a wrong-length point is refused even with no hyperplanes to test
+    for point in ((0,), (0, 0, 0)):
+        for hyperplanes in ([], [Hyperplane.from_ints(QQ, (1, 0), 1)]):
+            with pytest.raises(ValueError, match="dimension"):
+                verify_cover(V, point, hyperplanes)
+
+
 def test_min_cover_cube3():
     V = cube(3)
     sol = min_almost_cover(V, tuple(QQ.scalar(0) for _ in range(3)))
@@ -671,6 +719,45 @@ def test_traces_are_every_coatom_avoiding_the_point_once(V):
         assert traces == tuple(sorted(traces))
 
 
+def reference_verdict(V, v, hyperplanes):
+    """verify_cover's meaning, on the field-scalar ``Hyperplane.contains``."""
+    return not any(H.contains(v) for H in hyperplanes) and all(
+        any(H.contains(q) for H in hyperplanes) for q in V.points if q != v
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_point_sets(), st.data())
+def test_verify_cover_matches_the_field_scalar_reference(V, data):
+    field = V.field
+    v = data.draw(st.sampled_from(V.points))
+    if data.draw(st.booleans()):
+        # a shifted point, which may or may not be in V
+        shift = data.draw(st.lists(st.integers(-2, 2), min_size=V.dim, max_size=V.dim))
+        v = tuple(x + field.scalar(k) for x, k in zip(v, shift))
+    # the coatom witnesses that miss v, some left out, which cover V minus v
+    # or nearly so; a coatom has one witness at every point of V outside it
+    witnesses = []
+    for mask in cover._coatom_masks(V):
+        outside = next(u for j, u in enumerate(V.points) if not mask >> j & 1)
+        witnesses.append(realize_trace(V, outside, cover._indices(mask)))
+    missing = [H for H in witnesses if not H.contains(v)]
+    dropped = data.draw(st.sets(st.sampled_from(range(len(missing))), max_size=2)) if missing else set()
+    hyperplanes = [H for i, H in enumerate(missing) if i not in dropped]
+    # and hyperplanes through two points of V, which may hold v
+    pairs = st.tuples(st.sampled_from(V.points), st.sampled_from(V.points), st.integers(0, V.dim - 1))
+    for a, b, j in data.draw(st.lists(pairs, max_size=2)):
+        diff = [x - y for x, y in zip(a, b)]
+        i = next((i for i, x in enumerate(diff) if x), None)
+        if i is None or i == j:
+            continue
+        normal = [field.zero()] * V.dim
+        normal[j], normal[i] = diff[i], -diff[j]
+        hyperplanes.append(Hyperplane(normal, sum(c * x for c, x in zip(normal, a))))
+    hyperplanes = data.draw(st.permutations(hyperplanes))
+    assert verify_cover(V, v, hyperplanes) is reference_verdict(V, v, hyperplanes)
+
+
 def test_hyperplane_enumeration_counts():
     # (p^n - 1)/(p - 1) canonical normals, p offsets each
     for p, n in [(2, 2), (3, 2), (2, 3)]:
@@ -810,12 +897,10 @@ def test_a_trace_that_is_no_coatom_needs_a_witness_per_point():
     # and which one misses the point depends on the point, so witnesses are
     # kept per coatom only
     V = cube(3)
-    hits = {}
     chosen = set()
     for v in V.points[1:]:
         H = realize_trace(V, v, (0,))
         assert_is_the_reference_witness(H, AffineSpan([V.points[0]]), v)
-        assert verify_cover(V, v, [H], hits) == verify_cover(V, v, [H])
         chosen.add(H)
     assert len(chosen) == 3
 

@@ -242,6 +242,10 @@ def test_hyperplane_evaluate():
     assert H3.evaluate((F.scalar(2), F.scalar(2))) == 0
     with pytest.raises(ValueError):
         H.evaluate((QQ.scalar(1),))
+    with pytest.raises(TypeError, match="rational"):
+        H.evaluate((GF(3).scalar(1), QQ.scalar(5)))
+    with pytest.raises(TypeError, match="GF"):
+        H3.evaluate((Fraction(1, 2), 0))
 
 
 def test_separating_hyperplane_point_case():

@@ -69,6 +69,18 @@ def test_evaluate():
     assert g.evaluate((GF(3).scalar(2), GF(3).scalar(2))) == 1
 
 
+def test_evaluate_reads_the_point_in_the_polynomial_field():
+    x1 = poly({(1, 0): 1})
+    assert x1.evaluate((2, 5)) == Fraction(2)
+    # every coordinate is read, also one the polynomial does not use
+    with pytest.raises(TypeError, match="rational"):
+        x1.evaluate((2, "x"))
+    with pytest.raises(TypeError, match="rational"):
+        x1.evaluate((GF(3).scalar(1), 0))
+    with pytest.raises(TypeError, match="GF"):
+        poly({(1, 0): 1}, field=GF(3)).evaluate((Fraction(1, 2), 0))
+
+
 def test_reduce_single_replacement():
     # x1^2 on {0, 1} rewrites to x1, by x1^2 - x1
     line = buchberger_moller(PointSet.from_ints(QQ, [(0,), (1,)]))
