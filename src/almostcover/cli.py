@@ -5,8 +5,8 @@ Subcommands: ``gb`` (vanishing-ideal basis and standard monomials),
 ``verify`` (theorem suites).  Inputs are point-set files or inline family
 specs; ``--json`` emits a stable schema-1 document with every exact number
 serialized as a string.  Exit codes: 0 success, 1 a ``verify`` check
-failed, 2 usage or parse error, 3 internal invariant violation or out of
-memory.
+failed, 2 usage or parse error, 3 internal error (an invariant violation or
+a program fault) or out of memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .bounds import (
     lower_bounds,
 )
 from .cover import ac_numbers, min_almost_cover
-from .errors import InvariantError, ParseError
+from .errors import InvariantError
 from .families import FamilySpec, generate, symmetry_generators
 from .fields import parse_field_name, scalar_field
 from .pointfile import load_pointset
@@ -148,14 +148,10 @@ def cmd_bound(args) -> int:
         if report.certificate_point is not None:
             lines.append(f"  at point {V.format_point(report.certificate_point)}")
     if chain is not None:
-        ok = all(a <= b for a, b in zip(chain, chain[1:]))
-        results["ordering_chain"] = {
-            "values": [str(x) for x in chain],
-            "holds": ok,
-        }
-        lines.append(f"ordering chain {' <= '.join(map(str, chain))}: {'ok' if ok else 'VIOLATED'}")
-        if not ok:
+        if any(a > b for a, b in zip(chain, chain[1:])):
             raise InvariantError("bound ordering chain violated")
+        results["ordering_chain"] = {"values": [str(x) for x in chain], "holds": True}
+        lines.append(f"ordering chain {' <= '.join(map(str, chain))}: ok")
     doc = _document("bound", source, V, results, args, started)
     _emit(doc, args, lines)
     return 0
@@ -315,10 +311,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ParseError, ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, AssertionError) as exc:
+    except (InvariantError, AssertionError, TypeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -29,7 +29,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InvariantError
-from .linalg import Hyperplane, PointSet, _IntKernel
+from .linalg import Hyperplane, PointSet, direction, echelon, int_points, scalars
 from .vanishing import buchberger_moller
 
 __all__ = [
@@ -103,29 +103,28 @@ def _coatom_masks(V: PointSet):
 
     Reverse search (Avis and Fukuda, 1996) from the singletons.  A flat on
     the stack keeps, for every point outside it, the residual of
-    (point - base) against its path's echelon rows as a kernel
-    ``direction`` (see ``linalg``).  Points share an extension closure
-    exactly when their residuals are equal, so one dict pass finds every
-    extension; residuals then propagate in O(|V| n) per extension.  The
-    greedy basis of a flat takes, in turn, its lowest point outside the
-    closure of the points taken so far.  An extension G | E of a flat G
-    whose basis ends at ``last`` has G's basis plus min E as its greedy
-    basis exactly when min E > last, and only then is it a child, so every
-    flat is reached once, from the closure of its basis minus the last
-    point.  Coatoms are recorded and never expanded.
+    (point - base) against its path's echelon rows as a ``direction`` (see
+    ``linalg``).  Points share an extension closure exactly when their
+    residuals are equal, so one dict pass finds every extension; residuals
+    then propagate in O(|V| n) per extension.  The greedy basis of a flat
+    takes, in turn, its lowest point outside the closure of the points
+    taken so far.  An extension G | E of a flat G whose basis ends at
+    ``last`` has G's basis plus min E as its greedy basis exactly when
+    min E > last, and only then is it a child, so every flat is reached
+    once, from the closure of its basis minus the last point.  Coatoms are
+    recorded and never expanded.
     """
-    kernel = _IntKernel(V.field)
-    direction = kernel.direction
-    pts, _ = kernel.int_points(V.points)
+    p = V.field.p
+    pts, _ = int_points(V.points, p)
     m = len(pts)
-    top = len(kernel.echelon([a - b for a, b in zip(p, pts[0])] for p in pts[1:])[0]) - 1
+    top = len(echelon(([a - b for a, b in zip(q, pts[0])] for q in pts[1:]), p)[0]) - 1
     if top <= 0:
         # a collinear V has its points as coatoms, a single point has none
         return tuple(1 << j for j in range(m)) if top == 0 else ()
     coatoms = []
     stack = []
     for j, base in enumerate(pts):
-        res = [None if w == j else direction([a - b for a, b in zip(p, base)]) for w, p in enumerate(pts)]
+        res = [None if w == j else direction([a - b for a, b in zip(q, base)], p) for w, q in enumerate(pts)]
         stack.append((1 << j, j, 0, res))
     while stack:
         flat, last, rank, res = stack.pop()
@@ -146,7 +145,7 @@ def _coatom_masks(V: PointSet):
                 if rw is None or joins >> w & 1:
                     continue
                 lam = rw[pivot]
-                new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)]) if lam else rw
+                new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)], p) if lam else rw
             stack.append((flat | joins, (joins & -joins).bit_length() - 1, rank + 1, new_res))
     return _sorted_by_indices(coatoms, m)
 
@@ -364,11 +363,10 @@ def realize_trace(V: PointSet, point, trace) -> Hyperplane:
     every point outside the coatom (see ``_Work``).
     """
     field = V.field
-    kernel = _IntKernel(field)
     p = field.p
-    pts, scale = kernel.int_points([V.points[j] for j in trace] + [tuple(field.scalar(x) for x in point)])
+    pts, scale = int_points([V.points[j] for j in trace] + [tuple(field.scalar(x) for x in point)], p)
     base, v = pts[0], pts[-1]
-    rows, pivots = kernel.echelon([a - b for a, b in zip(q, base)] for q in pts[1:-1])
+    rows, pivots = echelon(([a - b for a, b in zip(q, base)] for q in pts[1:-1]), p)
     diff = [a - b for a, b in zip(v, base)]
     # the null vectors times the product of the pivots, so that they are ints
     lead = 1
@@ -384,7 +382,7 @@ def realize_trace(V: PointSet, point, trace) -> Hyperplane:
         dot = sum(a * d for a, d in zip(normal, diff))
         if dot % p if p else dot:
             offset = sum(a * b for a, b in zip(normal, base))
-            return Hyperplane(kernel.scalars(normal), kernel.scalars([offset], scale)[0])
+            return Hyperplane(scalars(normal, p), scalars([offset], p, scale)[0])
     raise ValueError("inseparable: the point lies in the trace's span")
 
 
@@ -429,8 +427,8 @@ def min_almost_cover(V: PointSet, point, budget=None, mode="closed", _work=None)
 def verify_cover(V: PointSet, point, hyperplanes) -> bool:
     """True when the union covers every point of V except the given one.
 
-    One int pass on its own scaling, not the int kernel that built the
-    witnesses.  V's points and the given one are scaled by one common
+    One int pass on its own scaling, not the ``linalg`` int rows that built
+    the witnesses.  V's points and the given one are scaled by one common
     denominator d, and each hyperplane normal . x = offset by the lcm of its
     own denominators to N . x = O; over GF(p) scalars are residues, d = 1.
     A point x is on the hyperplane exactly when N . (d x) - d O is 0, mod p

@@ -187,7 +187,7 @@ def szw_sharp_polynomial(n: int, k: int) -> Polynomial:
     return f
 
 
-def _primitive_root(p: int) -> int:
+def _least_primitive_root(p: int) -> int:
     if p == 2:
         return 1
     factors = []
@@ -241,7 +241,7 @@ def symmetry_generators(spec: FamilySpec):
             shift = [one if j == i else zero for j in range(n)]
             gens.append(AffineMap(identity, shift))
         if spec.q > 2:
-            g = field.scalar(_primitive_root(spec.q))
+            g = field.scalar(_least_primitive_root(spec.q))
             scaled = [[g if c == r else zero for c in range(n)] for r in range(n)]
             gens.append(AffineMap(scaled, [zero] * n))
         return gens

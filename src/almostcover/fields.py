@@ -7,8 +7,9 @@ mixing scalars from different fields raises ``TypeError``.
 
 These are the scalars of the public API and of hyperplane and polynomial
 evaluation.  The hot loops, witness realization among them, convert them to
-plain ints once and back at the end (``linalg._IntKernel``); the exhaustive
-hyperplane table and the cover re-check read them as ints without the kernel.
+plain ints once and back at the end (the int rows of ``linalg``); the
+exhaustive hyperplane table and the cover re-check read them as ints on
+their own.
 """
 
 from __future__ import annotations

@@ -6,13 +6,20 @@ eligible row, and hyperplanes are scaled so their first nonzero normal entry
 is one, making every representation unique and reproducible.
 
 The hot loops (Buchberger-Moeller in ``vanishing``, and the coatom
-enumeration, ranks and witness hyperplanes in ``cover``) run on
-``_IntKernel`` rows of plain ints: over the rationals a row is scaled to
-integers and kept free of common factors, over GF(p) it holds residues, and
-the coatom enumeration keeps rows as canonical directions.  The exhaustive
-hyperplane table and the cover re-check in ``cover`` read ints without the
-kernel, so they share no code with the enumeration and witnesses they check.
-Field scalars are rebuilt only on the way out, for evaluation and maps.
+enumeration, ranks and witness hyperplanes in ``cover``) run on rows of
+plain ints, through the functions below; each takes p, the field's prime,
+or None over the rationals.  Over the rationals a row
+stands for a rational row up to a nonzero factor, and ``content`` keeps it
+primitive; over GF(p) it holds residues, and ``content`` reduces them mod
+p.  Rows are combined by cross-multiplication (``eliminate``), which needs
+no division in either field, and ``echelon`` is Gauss-Jordan elimination
+by those steps.  Zero tests, pivots and parallelism (``direction``, which
+the coatom enumeration keeps its rows as) read the same in both fields.
+``ints`` and ``int_points`` read field scalars as ints, and ``scalars``
+rebuilds field scalars on the way out, for evaluation and maps.  The
+exhaustive hyperplane table and the cover re-check in ``cover`` read ints
+without these functions, so they share no code with the enumeration and
+witnesses they check.
 """
 
 from __future__ import annotations
@@ -39,94 +46,84 @@ def _entry_field(entries) -> Field:
     return field
 
 
-def _primitive(row):
-    """An integer row divided by the gcd of its entries."""
+def content(row, p):
+    """(row / g, g): an int row divided by its content g, the gcd of its
+    entries (0 for a zero row); over GF(p) the row reduced mod p, and g = 1."""
+    if p is not None:
+        return [x % p for x in row], 1
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return ([x // g for x in row] if g > 1 else row), g
 
 
-class _IntKernel:
-    """Rows of plain ints standing in for one field's scalars.
+def eliminate(row, prow, c, p):
+    """(row, g): row with its column c cleared by the nonzero prow[c], over
+    the content g that ``content`` takes from the result."""
+    pv, f = prow[c], row[c]
+    return content([pv * a - f * b for a, b in zip(row, prow)], p)
 
-    Over the rationals a row stands for a rational row up to a nonzero
-    factor and ``normalize`` keeps it primitive; over GF(p) it holds
-    residues and ``normalize`` reduces them mod p.  Rows are combined by
-    cross-multiplication (``eliminate``), which needs no division in either
-    field; zero tests, pivots and parallelism (``direction``) read the same.
+
+def echelon(rows, p):
+    """(rows, pivots): the int rows in reduced echelon form, zero rows dropped.
+
+    Pivot choice is the leftmost nonzero column, first eligible row, and
+    each pivot column is cleared in every other row, as in Gauss-Jordan
+    elimination; row i is a nonzero multiple of the reduced row with
+    pivot pivots[i].
     """
+    rows = [content(list(row), p)[0] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = eliminate(row, prow, c, p)[0]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
 
-    __slots__ = ("field", "normalize")
 
-    def __init__(self, field: Field):
-        self.field = field
-        p = field.p
-        self.normalize = _primitive if p is None else (lambda row: [x % p for x in row])
+def direction(row, p) -> tuple:
+    """The multiple of a nonzero row shared by exactly the rows parallel to it.
 
-    def eliminate(self, row, prow, c):
-        """row with its column c cleared by the nonzero prow[c]."""
-        pv, f = prow[c], row[c]
-        return self.normalize([pv * a - f * b for a, b in zip(row, prow)])
+    Over the rationals it is primitive with a positive first nonzero entry;
+    over GF(p) it is reduced mod p with first nonzero entry 1.
+    """
+    if p is None:
+        g = gcd(*row)
+        if next(x for x in row if x) < 0:
+            g = -g
+        return tuple(x // g for x in row)
+    row = [x % p for x in row]
+    inv = pow(next(x for x in row if x), -1, p)
+    return tuple(x * inv % p for x in row)
 
-    def echelon(self, rows):
-        """(rows, pivots): the int rows in reduced echelon form, zero rows dropped.
 
-        Pivot choice is the leftmost nonzero column, first eligible row, and
-        each pivot column is cleared in every other row, as in Gauss-Jordan
-        elimination; row i is a nonzero multiple of the reduced row with
-        pivot pivots[i].
-        """
-        rows = [self.normalize(list(row)) for row in rows]
-        pivots = []
-        r = 0
-        for c in range(len(rows[0]) if rows else 0):
-            hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if hit is None:
-                continue
-            rows[r], rows[hit] = rows[hit], rows[r]
-            prow = rows[r]
-            for i, row in enumerate(rows):
-                if row[c] and i != r:
-                    rows[i] = self.eliminate(row, prow, c)
-            pivots.append(c)
-            r += 1
-        return rows[:r], pivots
+def ints(values, p):
+    """(row, scale): the ints scale * values, scale the lcm of the denominators."""
+    if p is not None:
+        return [x.value for x in values], 1
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
-    def direction(self, row) -> tuple:
-        """The multiple of a nonzero row shared by exactly the rows parallel to it.
 
-        Over the rationals it is primitive with a positive first nonzero
-        entry; over GF(p) it is reduced mod p with first nonzero entry 1.
-        """
-        p = self.field.p
-        if p is None:
-            g = gcd(*row)
-            if next(x for x in row if x) < 0:
-                g = -g
-            return tuple(x // g for x in row)
-        row = [x % p for x in row]
-        inv = pow(next(x for x in row if x), -1, p)
-        return tuple(x * inv % p for x in row)
+def int_points(points, p):
+    """(points, scale): every point times one common scale, as int tuples."""
+    dim = len(points[0])
+    flat, scale = ints([x for q in points for x in q], p)
+    return [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], scale
 
-    def ints(self, values):
-        """(row, scale): the ints scale * values, scale the lcm of the denominators."""
-        if self.field.p is not None:
-            return [x.value for x in values], 1
-        scale = lcm(*(x.denominator for x in values))
-        return [x.numerator * (scale // x.denominator) for x in values], scale
 
-    def int_points(self, points):
-        """(points, scale): every point times one common scale, as int tuples."""
-        dim = len(points[0])
-        flat, scale = self.ints([x for p in points for x in p])
-        return [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], scale
-
-    def scalars(self, row, den=1) -> tuple:
-        """The field scalars row[i] / den."""
-        p = self.field.p
-        if p is None:
-            return tuple(Fraction(x, den) for x in row)
-        inv = pow(den, -1, p)
-        return tuple(GFElement(x * inv, p) for x in row)
+def scalars(row, p, den=1) -> tuple:
+    """The field scalars row[i] / den."""
+    if p is None:
+        return tuple(Fraction(x, den) for x in row)
+    inv = pow(den, -1, p)
+    return tuple(GFElement(x * inv, p) for x in row)
 
 
 class PointSet:
@@ -255,8 +252,7 @@ class AffineMap:
             raise ValueError("matrix shape does not match translation length")
         field = _entry_field(x for row in self.matrix for x in row)
         self.translation = tuple(field.scalar(t) for t in translation)
-        kernel = _IntKernel(field)
-        if len(kernel.echelon(kernel.ints(row)[0] for row in self.matrix)[0]) != n:
+        if len(echelon((ints(row, field.p)[0] for row in self.matrix), field.p)[0]) != n:
             raise ValueError("affine map matrix is singular")
 
     def apply(self, point):

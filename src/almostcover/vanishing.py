@@ -12,12 +12,12 @@ The standard monomials form a basis of the functions on the point set, so
 their count always equals the number of points, and the set is closed under
 division.  Both facts are relied on downstream and checked in the tests.
 
-The scan runs on integer kernel rows (see ``linalg``): rational points are
-scaled once to integers by their common denominator D, which scales a
-monomial of degree d by D^d, and that factor is undone when a basis
-polynomial or a normal form is built.  Each standard monomial leaves one
-echelon row: its pivot and its values on the points, zero at the pivots of
-the rows before it and kept primitive (reduced mod p over GF(p)).
+The scan runs on the int rows of ``linalg``: rational points are scaled
+once to integers by their common denominator D, which scales a monomial of
+degree d by D^d, and that factor is undone when a basis polynomial or a
+normal form is built.  Each standard monomial leaves one echelon row: its
+pivot and its values on the points, zero at the pivots of the rows before
+it and kept primitive by ``linalg.content`` (reduced mod p over GF(p)).
 
 Every candidate after 1 is a standard monomial sm[k] times one variable, and
 it starts from row k times that variable's coordinate.  Those values are
@@ -52,22 +52,13 @@ import heapq
 from math import gcd
 
 from .errors import InvariantError
-from .linalg import PointSet, _IntKernel
+from .linalg import PointSet, content, direction, eliminate, int_points, ints, scalars
 from .polyring import Polynomial, deglex_key, mono_deg, mono_div, mono_mul, mono_one
 
 
 def _times(mono, i) -> tuple:
     """mono times the variable x_(i+1)."""
     return mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-
-
-def _content(row, p):
-    """(row / g, g): an int row and its content g over the rationals, 0 for a
-    zero row; over GF(p) the row reduced mod p, and g = 1."""
-    if p is not None:
-        return [x % p for x in row], 1
-    g = gcd(*row)
-    return ([x // g for x in row] if g > 1 else row), g
 
 
 def _tag_step(p, tag, a, ptag, b, c):
@@ -206,14 +197,14 @@ class GroebnerData:
         """Each leading monomial's reduced element on the scaled points, in
         scan order, as ``_reduce_tag`` takes them."""
         if self._leads is None:
-            kernel = _IntKernel(self.source.field)
+            p = self.source.field.p
             standard = set(self.sm)
             leads = {}
             for lm, tag in self._replay()[1]:
-                tail, _ = _reduce_tag(tag, leads, standard, kernel.field.p)
-                # leading coefficient first, for the kernel's direction
+                tail, _ = _reduce_tag(tag, leads, standard, p)
+                # leading coefficient first, for its direction
                 terms = [lm, *(m for m in tail if m != lm)]
-                leads[lm] = dict(zip(terms, kernel.direction([tail[m] for m in terms])))
+                leads[lm] = dict(zip(terms, direction([tail[m] for m in terms], p)))
             self._leads = leads
         return self._leads
 
@@ -234,8 +225,7 @@ class GroebnerData:
         by den: back on V a degree-d coefficient takes a factor scale^d."""
         V = self.source
         coeffs = [x * self._scale ** mono_deg(m) for m, x in terms.items()]
-        scalars = _IntKernel(V.field).scalars(coeffs, den)
-        return Polynomial(V.field, V.dim, dict(zip(terms, scalars)))
+        return Polynomial(V.field, V.dim, dict(zip(terms, scalars(coeffs, V.field.p, den))))
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Unique representative of f supported on the standard monomials."""
@@ -246,10 +236,10 @@ class GroebnerData:
             raise ValueError("variable count does not match the ambient dimension")
         # on the scaled points f is f(x / scale); times scale^top, a
         # degree-e coefficient takes a factor scale^(top - e), and the
-        # kernel clears the denominators
+        # int row clears the denominators
         top = max(map(mono_deg, f.terms), default=0)
-        ints, common = _IntKernel(V.field).ints(list(f.terms.values()))
-        tag = {m: x * self._scale ** (top - mono_deg(m)) for m, x in zip(f.terms, ints)}
+        row, common = ints(list(f.terms.values()), V.field.p)
+        tag = {m: x * self._scale ** (top - mono_deg(m)) for m, x in zip(f.terms, row)}
         terms, den = _reduce_tag(tag, self._reduced(), set(self.sm), V.field.p)
         return self._polynomial(terms, common * den * self._scale**top)
 
@@ -266,13 +256,12 @@ class GroebnerData:
         row k used, and deglex compares degrees first.
         """
         V = self.source
-        kernel = _IntKernel(V.field)
         row = [0] * len(V)
         row[V.index_of(point)] = 1
         last = 0
         for k, (pivot, prow) in enumerate(self._rows):
             if row[pivot]:
-                row = kernel.eliminate(row, prow, pivot)
+                row = eliminate(row, prow, pivot, V.field.p)[0]
                 last = k
         return mono_deg(self.sm[last])
 
@@ -286,7 +275,7 @@ class GroebnerData:
 def buchberger_moller(V: PointSet) -> GroebnerData:
     """Groebner data of the vanishing ideal of a finite point set."""
     p = V.field.p
-    points, scale = _IntKernel(V.field).int_points(V.points)
+    points, scale = int_points(V.points, p)
     npts = len(points)
     nvars = V.dim
     sm = []
@@ -310,13 +299,13 @@ def buchberger_moller(V: PointSet) -> GroebnerData:
         else:
             # the parent's echelon row times the coordinate is zero at the
             # pivots of the rows before the parent
-            row, g0 = _content([a * q[var] for a, q in zip(rows[parent][1], points)], p)
+            row, g0 = content([a * q[var] for a, q in zip(rows[parent][1], points)], p)
             first = parent
         steps = []
         for j, (pivot, prow) in enumerate(rows[first:], first):
             f = row[pivot]
             if f:
-                row, g = _content([prow[pivot] * a - f * b for a, b in zip(row, prow)], p)
+                row, g = eliminate(row, prow, pivot, p)
                 steps.append((j, f, g))
         records.append((mono, parent, var, g0, steps))
         pivot = next((i for i in range(npts) if row[i]), None)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from almostcover import cover, vanishing
+from almostcover import cli, cover, vanishing
 from almostcover.cli import SCALE_NOTE, main
 from almostcover.families import FamilySpec
 from almostcover.fields import QQ
@@ -261,6 +261,32 @@ def test_solver_invariants_exit_3_with_one_error_line(monkeypatch, capsys):
                 code, out, err = run(capsys, "solve", "--family", "cube:3", *argv)
                 assert code == 3 and out == ""
                 assert err.splitlines() == [f"internal error: {message}"]
+
+
+def test_a_program_type_error_exits_3_with_one_error_line(monkeypatch, capsys):
+    # no command-line input raises TypeError, so one is a fault of the program
+    def faulty(V):
+        raise TypeError("faulty coatom list")
+
+    monkeypatch.setattr(cover, "_coatom_masks", faulty)
+    for argv in (("--point", "0"), ("--all",)):
+        code, out, err = run(capsys, "solve", "--family", "cube:3", *argv)
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["internal error: faulty coatom list"]
+
+
+def test_a_falling_bound_chain_exits_3_before_any_output(monkeypatch, capsys):
+    real = cli.lower_bounds
+
+    def falling(V, point=None):
+        reports, chain = real(V, point)
+        return reports, [*chain[:-1], chain[-2] - 1]
+
+    monkeypatch.setattr(cli, "lower_bounds", falling)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "bound", "--family", "cube:3", "--method", "all", *extra)
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["internal error: bound ordering chain violated"]
 
 
 def test_bad_family_exit_code(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from almostcover import cover
+from almostcover import cover, linalg, vanishing
 from almostcover.cover import (
     ac_numbers,
     min_almost_cover,
@@ -148,6 +148,22 @@ def test_verify_cover_pins_the_point_scale_and_the_residues():
     assert not verify_cover(W, W.points[1], [line])
 
 
+INT_ROW_FUNCTIONS = ("content", "eliminate", "echelon", "direction", "ints", "int_points", "scalars")
+
+
+def refuse_int_rows(monkeypatch, oracle):
+    """Make every ``linalg`` int-row function raise, under any name a module binds it."""
+
+    def refuse(*args):
+        raise AssertionError(f"{oracle} reached the linalg int rows")
+
+    functions = {getattr(linalg, name) for name in INT_ROW_FUNCTIONS}
+    for module in (linalg, cover, vanishing):
+        for name, value in list(vars(module).items()):
+            if callable(value) and value in functions:
+                monkeypatch.setattr(module, name, refuse)
+
+
 def test_verify_cover_uses_no_int_kernel(monkeypatch):
     # the re-check must stay independent of the code that built the witnesses
     fractional = PointSet(QQ, 2, [(0, 0), (Fraction(1, 3), 1), (Fraction(-1, 2), 2), (3, Fraction(1, 3))])
@@ -159,13 +175,17 @@ def test_verify_cover_uses_no_int_kernel(monkeypatch):
             cases.append((V, v, witnesses[1:], False))
             # the cover at v holds V's first point unless v is that point
             cases.append((V, V.points[0], witnesses, v == V.points[0]))
-
-    def refuse(*args):
-        raise AssertionError("verify_cover reached the int kernel")
-
-    monkeypatch.setattr(cover, "_IntKernel", refuse)
+    refuse_int_rows(monkeypatch, "verify_cover")
     for V, v, witnesses, verdict in cases:
         assert verify_cover(V, v, witnesses) is verdict
+
+
+def test_hyperplane_table_uses_no_int_kernel(monkeypatch):
+    # the table checks the coatom enumeration, so it must share no code with it
+    V = gf3_plane_part()
+    table = list(cover._hyperplane_traces(V).items())
+    refuse_int_rows(monkeypatch, "_hyperplane_traces")
+    assert list(cover._hyperplane_traces(V).items()) == table
 
 
 def test_verify_cover_checks_its_inputs():

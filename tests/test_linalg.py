@@ -5,7 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from almostcover.cover import realize_trace
 from almostcover.fields import GF, QQ, scalar_field
-from almostcover.linalg import AffineMap, Hyperplane, PointSet, _IntKernel
+from almostcover.linalg import (
+    AffineMap,
+    Hyperplane,
+    PointSet,
+    content,
+    direction,
+    echelon,
+    eliminate,
+    ints,
+    scalars,
+)
 
 
 def qpoint(*coords):
@@ -13,15 +23,15 @@ def qpoint(*coords):
 
 
 def test_rref_identity():
-    assert _IntKernel(QQ).echelon([[1, 0], [0, 1]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert echelon([[1, 0], [0, 1]], None) == ([[1, 0], [0, 1]], [0, 1])
 
 
 def test_rref_dependent_rows():
-    assert _IntKernel(QQ).echelon([[1, 2], [2, 4]]) == ([[1, 2]], [0])
+    assert echelon([[1, 2], [2, 4]], None) == ([[1, 2]], [0])
 
 
 def test_rref_gf2():
-    assert _IntKernel(GF(2)).echelon([[1, 1], [1, 2]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert echelon([[1, 1], [1, 2]], 2) == ([[1, 0], [0, 1]], [0, 1])
 
 
 def test_constructors_reject_mixed_fields():
@@ -34,7 +44,7 @@ def test_constructors_reject_mixed_fields():
 
 
 def reference_rref(matrix):
-    """Gauss-Jordan elimination on field scalars, the oracle for ``_IntKernel.echelon``.
+    """Gauss-Jordan elimination on field scalars, the oracle for ``echelon``.
 
     Same pivot rule (leftmost nonzero column, first eligible row), but every
     step is plain Fraction/GFElement arithmetic.
@@ -132,13 +142,13 @@ def field_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(field_matrices())
 def test_echelon_matches_reference_gauss_jordan(matrix):
-    kernel = _IntKernel(scalar_field(matrix[0][0]))
-    rows, pivots = kernel.echelon(kernel.ints(row)[0] for row in matrix)
+    p = scalar_field(matrix[0][0]).p
+    rows, pivots = echelon((ints(row, p)[0] for row in matrix), p)
     rank, reduced, reference_pivots = reference_rref(matrix)
     assert (len(rows), tuple(pivots)) == (rank, reference_pivots)
     # each int row is proportional to its reduced row: divided by its pivot
     # entry, it is that row
-    assert [kernel.scalars(row, row[c]) for row, c in zip(rows, pivots)] == list(reduced[:rank])
+    assert [scalars(row, p, row[c]) for row, c in zip(rows, pivots)] == list(reduced[:rank])
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -147,21 +157,42 @@ small_entries = st.integers(min_value=-4, max_value=4)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_rref_idempotent(raw):
-    kernel = _IntKernel(QQ)
-    rows, pivots = kernel.echelon(raw)
-    assert kernel.echelon(rows) == (rows, pivots)
+    rows, pivots = echelon(raw, None)
+    assert echelon(rows, None) == (rows, pivots)
 
 
 def test_kernel_direction_is_equal_exactly_for_parallel_rows():
-    q = _IntKernel(QQ).direction
+    def q(row):
+        return direction(row, None)
+
+    def g7(row):
+        return direction(row, 7)
+
     assert q([0, 4, -6]) == q([0, -2, 3]) == q([0, 10, -15]) == (0, 2, -3)
     assert q([-3, 0]) == q([5, 0]) == (1, 0)
     assert q([1, 2]) != q([1, -2])
-    g7 = _IntKernel(GF(7)).direction
     assert g7([3, 1]) == g7([6, 2]) == g7([-4, 15]) == (1, 5)
     assert g7([1, 1]) != g7([1, 2])
     # the lead is the first entry nonzero mod p, not the first nonzero int
-    assert _IntKernel(GF(3)).direction([-3, 1]) == (0, 1)
+    assert direction([-3, 1], 3) == (0, 1)
+
+
+def test_content_keeps_signs_and_divides_by_the_gcd():
+    # over the rationals: signs kept, gcd divided out, g = 0 for a zero row
+    assert content([-4, 6, 0, -10], None) == ([-2, 3, 0, -5], 2)
+    assert content([0, 0, 0], None) == ([0, 0, 0], 0)
+    assert content([3, -5, 7], None) == ([3, -5, 7], 1)
+    # over GF(5): residues, g = 1
+    assert content([-4, 6, 0, 10, 13], 5) == ([1, 1, 0, 0, 3], 1)
+
+
+def test_eliminate_clears_the_column_and_returns_the_content():
+    # 3 * [2, 4, 6] - 2 * [3, 1, 0] = [0, 10, 18], content 2
+    assert eliminate([2, 4, 6], [3, 1, 0], 0, None) == ([0, 5, 9], 2)
+    # a row parallel to the pivot row is eliminated to zero, g = 0
+    assert eliminate([-2, 4], [1, -2], 0, None) == ([0, 0], 0)
+    # over GF(5): 3 * [2, 4, 6] - 2 * [3, 1, 0] = [0, 10, 18] = [0, 0, 3]
+    assert eliminate([2, 4, 6], [3, 1, 0], 0, 5) == ([0, 0, 3], 1)
 
 
 def test_pointset_validation():

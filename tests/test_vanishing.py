@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate
 from almostcover.fields import GF, QQ, scalar_field
-from almostcover.linalg import PointSet, _IntKernel
+from almostcover.linalg import PointSet, int_points
 from almostcover import vanishing
 from almostcover.polyring import Polynomial, deglex_key, mono_deg
 from almostcover.vanishing import buchberger_moller
@@ -288,8 +288,8 @@ def test_replayed_tags_take_the_scaled_values_of_their_rows(V):
     # take s times each row's values on the scaled points, and vanish there
     # for each dependent candidate
     data = buchberger_moller(V)
-    points, _ = _IntKernel(V.field).int_points(V.points)
     p = V.field.p
+    points, _ = int_points(V.points, p)
     rows, deps = data._replay()
     assert len(rows) == len(data._rows) == len(V)
     for (_, values), (tag, s), lead in zip(data._rows, rows, data.sm):
