@@ -29,7 +29,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InvariantError
-from .linalg import Hyperplane, PointSet, direction, echelon, int_points, scalars
+from .linalg import Hyperplane, PointSet, direction, echelon, int_points, ints, scalars
 from .vanishing import buchberger_moller
 
 __all__ = [
@@ -105,14 +105,20 @@ def _coatom_masks(V: PointSet):
     the stack keeps, for every point outside it, the residual of
     (point - base) against its path's echelon rows as a ``direction`` (see
     ``linalg``).  Points share an extension closure exactly when their
-    residuals are equal, so one dict pass finds every extension; residuals
-    then propagate in O(|V| n) per extension.  The greedy basis of a flat
-    takes, in turn, its lowest point outside the closure of the points
-    taken so far.  An extension G | E of a flat G whose basis ends at
-    ``last`` has G's basis plus min E as its greedy basis exactly when
-    min E > last, and only then is it a child, so every flat is reached
-    once, from the closure of its basis minus the last point.  Coatoms are
-    recorded and never expanded.
+    residuals are equal, so one dict pass finds every extension.  A
+    direction does not change with the sign of its row, so the singletons
+    read their residuals off one table with one direction per pair of
+    points.  Extending by a residual with pivot column c clears column c
+    in every residual of the child, and c is dropped from each: a flat of
+    rank k keeps rows of n - k entries, parallel exactly when the full rows
+    are, and residuals propagate in O(|V| (n - k)) per extension.
+
+    The greedy basis of a flat takes, in turn, its lowest point outside the
+    closure of the points taken so far.  An extension G | E of a flat G
+    whose basis ends at ``last`` has G's basis plus min E as its greedy
+    basis exactly when min E > last, and only then is it a child, so every
+    flat is reached once, from the closure of its basis minus the last
+    point.  Coatoms are recorded and never expanded.
     """
     p = V.field.p
     pts, _ = int_points(V.points, p)
@@ -121,11 +127,12 @@ def _coatom_masks(V: PointSet):
     if top <= 0:
         # a collinear V has its points as coatoms, a single point has none
         return tuple(1 << j for j in range(m)) if top == 0 else ()
-    coatoms = []
-    stack = []
+    table = [[None] * m for _ in range(m)]
     for j, base in enumerate(pts):
-        res = [None if w == j else direction([a - b for a, b in zip(q, base)], p) for w, q in enumerate(pts)]
-        stack.append((1 << j, j, 0, res))
+        for w in range(j + 1, m):
+            table[j][w] = table[w][j] = direction([a - b for a, b in zip(pts[w], base)], p)
+    coatoms = []
+    stack = [(1 << j, j, 0, res) for j, res in enumerate(table)]
     while stack:
         flat, last, rank, res = stack.pop()
         extensions = {}
@@ -138,14 +145,22 @@ def _coatom_masks(V: PointSet):
             if rank + 1 == top:
                 coatoms.append(flat | joins)
                 continue
-            pivot = next(i for i, x in enumerate(r) if x)
-            rp = r[pivot]
+            c = 0
+            while not r[c]:
+                c += 1
+            rp = r[c]
+            # every residual of the child is 0 at c, so c is dropped from each
             new_res = [None] * m
             for w, rw in enumerate(res):
                 if rw is None or joins >> w & 1:
                     continue
-                lam = rw[pivot]
-                new_res[w] = direction([a * rp - lam * b for a, b in zip(rw, r)], p) if lam else rw
+                lam = rw[c]
+                if lam:
+                    row = [a * rp - lam * b for a, b in zip(rw, r)]
+                    del row[c]
+                    new_res[w] = direction(row, p)
+                else:
+                    new_res[w] = rw[:c] + rw[c + 1 :]
             stack.append((flat | joins, (joins & -joins).bit_length() - 1, rank + 1, new_res))
     return _sorted_by_indices(coatoms, m)
 
@@ -466,19 +481,37 @@ def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
     Each generator must map the set bijectively onto itself; violations are
     reported with the offending point.  Orbits are listed by smallest
     member, each sorted ascending.
+
+    The images are taken on ints.  V's points are read once as X = d x,
+    with d their common denominator, and a generator x -> M x + t as cM
+    and ct, with c the common denominator of its entries (read in V's
+    field); over GF(p) all are residues and c = d = 1.  The image of x,
+    scaled by c d, is then cM X + d ct, and it is a point of V exactly when
+    it equals c X' for a point X' of V (mod p over GF(p)).  The field-scalar
+    image is computed only to report a point that leaves V.
     """
+    p = V.field.p
+    pts, d = int_points(V.points, p)
     perms = []
     for g in generators:
+        n = len(g.translation)
+        if n != V.dim:
+            raise ValueError("dimension mismatch")
+        flat, c = ints([*map(V.field.scalar, itertools.chain(*g.matrix, g.translation))], p)
+        matrix = [flat[i : i + n] for i in range(0, n * n, n)]
+        shift = [d * t for t in flat[n * n :]]
+        index = {tuple([c * x for x in X]): j for j, X in enumerate(pts)}
         perm = []
-        for p in V.points:
-            image = g.apply(p)
-            try:
-                perm.append(V.index_of(image))
-            except ValueError:
+        for j, X in enumerate(pts):
+            image = [sum(map(mul, row, X)) + t for row, t in zip(matrix, shift)]
+            k = index.get(tuple([y % p for y in image]) if p else tuple(image))
+            if k is None:
+                point = V.points[j]
                 raise ValueError(
                     "generator does not preserve the point set: maps "
-                    f"{V.format_point(p)} to {V.format_point(image)}"
-                ) from None
+                    f"{V.format_point(point)} to {V.format_point(g.apply(point))}"
+                )
+            perm.append(k)
         if len(set(perm)) != len(perm):
             raise ValueError("generator is not injective on the point set")
         perms.append(perm)

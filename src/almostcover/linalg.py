@@ -15,11 +15,13 @@ p.  Rows are combined by cross-multiplication (``eliminate``), which needs
 no division in either field, and ``echelon`` is Gauss-Jordan elimination
 by those steps.  Zero tests, pivots and parallelism (``direction``, which
 the coatom enumeration keeps its rows as) read the same in both fields.
-``ints`` and ``int_points`` read field scalars as ints, and ``scalars``
-rebuilds field scalars on the way out, for evaluation and maps.  The
-exhaustive hyperplane table and the cover re-check in ``cover`` read ints
-without these functions, so they share no code with the enumeration and
-witnesses they check.
+``ints`` and ``int_points`` read field scalars as ints: for the
+Buchberger-Moeller scan and normal forms, the coatom enumeration, witness
+hyperplanes, the rank check of ``AffineMap`` and the point images of
+``cover.orbit_reduce``.  ``scalars`` rebuilds field scalars on the way out,
+for evaluation and maps.  The exhaustive hyperplane table and the cover
+re-check in ``cover`` read ints without these functions, so they share no
+code with the enumeration and witnesses they check.
 """
 
 from __future__ import annotations
@@ -91,16 +93,25 @@ def direction(row, p) -> tuple:
     """The multiple of a nonzero row shared by exactly the rows parallel to it.
 
     Over the rationals it is primitive with a positive first nonzero entry;
-    over GF(p) it is reduced mod p with first nonzero entry 1.
+    over GF(p) it is reduced mod p with first nonzero entry 1.  So a row and
+    its negative share their direction.
     """
+    if p is not None:
+        row = [x % p for x in row]
+    for lead in row:
+        if lead:
+            break
+    else:
+        raise ValueError("a zero row has no direction")
     if p is None:
         g = gcd(*row)
-        if next(x for x in row if x) < 0:
+        if lead < 0:
             g = -g
-        return tuple(x // g for x in row)
-    row = [x % p for x in row]
-    inv = pow(next(x for x in row if x), -1, p)
-    return tuple(x * inv % p for x in row)
+        return tuple(row) if g == 1 else tuple([x // g for x in row])
+    if lead == 1:
+        return tuple(row)
+    inv = pow(lead, -1, p)
+    return tuple([x * inv % p for x in row])
 
 
 def ints(values, p):

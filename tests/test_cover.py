@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from almostcover import cover, linalg, vanishing
 from almostcover.cover import (
@@ -17,11 +17,11 @@ from almostcover.cover import _min_cover_over_masks
 from almostcover.errors import InvariantError
 from almostcover.families import FamilySpec, generate, symmetry_generators
 from almostcover.fields import GF, QQ, GFElement, scalar_field
-from almostcover.linalg import Hyperplane, PointSet
+from almostcover.linalg import AffineMap, Hyperplane, PointSet
 from almostcover.polyring import mono_deg
 from almostcover.vanishing import GroebnerData, buchberger_moller
 
-from test_linalg import AffineSpan, affine_map
+from test_linalg import AffineSpan, affine_map, reference_rref
 from test_vanishing import reference_indicator_expansions
 
 
@@ -721,22 +721,49 @@ def test_separating_degree_is_the_indicator_degree(V):
         assert data.separating_degree(v) == max(map(mono_deg, chi))
 
 
-@settings(max_examples=15, deadline=None)
-@given(oracle_point_sets())
-def test_traces_are_every_coatom_avoiding_the_point_once(V):
-    # the coatoms from spans on field scalars: with d = dim aff(V), the sets
-    # meet(aff(S), V) over the d-point subsets S whose span has dimension d - 1
+def span_coatoms(V):
+    """The coatoms from spans on field scalars, as index tuples.
+
+    With d = dim aff(V), they are the sets meet(aff(S), V) over the d-point
+    subsets S whose span has dimension d - 1.
+    """
     d = AffineSpan(V.points).dim
     coatoms = set()
     for S in itertools.combinations(V.points, d):
         span = AffineSpan(S)
         if span.dim == d - 1:
             coatoms.add(tuple(j for j, p in enumerate(V.points) if span.contains(p)))
+    return coatoms
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_point_sets())
+def test_traces_are_every_coatom_avoiding_the_point_once(V):
+    coatoms = span_coatoms(V)
     for v_idx, v in enumerate(V.points):
         traces = traces_avoiding(V, v)
         assert len(set(traces)) == len(traces)
         assert set(traces) == {c for c in coatoms if v_idx not in c}
         assert traces == tuple(sorted(traces))
+
+
+@pytest.mark.parametrize(
+    "desc, field, count",
+    [
+        ("cube:4", None, 140),
+        ("perm:4", None, 679),
+        ("vnk:4:2", None, 49),
+        ("ag:3:3", None, 39),
+        ("cube:4", GF(3), 76),
+    ],
+)
+def test_coatoms_in_dimension_four_match_the_span_oracle(desc, field, count):
+    # oracle_point_sets stops at dimension 3, where the residuals lose at
+    # most one column before a coatom; in dimension 4 they lose two
+    V = generate(FamilySpec.parse(desc, field))
+    coatoms = tuple(map(cover._indices, cover._coatom_masks(V)))
+    assert len(coatoms) == count
+    assert coatoms == tuple(sorted(span_coatoms(V)))
 
 
 def reference_verdict(V, v, hyperplanes):
@@ -811,6 +838,146 @@ def test_orbit_reduce_rejects_bad_generator():
     shift = affine_map(QQ, [[1, 0], [0, 1]], [1, 0])
     with pytest.raises(ValueError, match="does not preserve"):
         orbit_reduce(V, [shift])
+
+
+def reference_orbits(V, generators):
+    """``orbit_reduce``'s orbits on field scalars: images by ``AffineMap.apply``, found by ``index_of``."""
+    perms = []
+    for g in generators:
+        perm = []
+        for q in V.points:
+            image = g.apply(q)
+            try:
+                perm.append(V.index_of(image))
+            except ValueError:
+                raise ValueError(
+                    "generator does not preserve the point set: maps "
+                    f"{V.format_point(q)} to {V.format_point(image)}"
+                ) from None
+        perms.append(perm)
+    orbits, seen = [], set()
+    for start in range(len(V)):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            j = frontier.pop()
+            for perm in perms:
+                if perm[j] not in orbit:
+                    orbit.add(perm[j])
+                    frontier.append(perm[j])
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def orbits_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def matmul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+@st.composite
+def conjugated_symmetries(draw):
+    """(V, generators): a set closed under signed coordinate permutations,
+    moved by a random invertible affine map h, with each symmetry s given
+    as h s h^-1; fractional over the rationals, so both the points and the
+    maps have denominators.  A generator is sometimes shifted off V."""
+    field = draw(st.sampled_from((QQ, GF(5), MERSENNE)))
+    n = draw(st.integers(1, 3))
+    if field.is_rational:
+        coords = FRACTIONAL
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        coords = range(5) if field.p == 5 else LARGE_RESIDUES
+        entry = st.sampled_from(coords).map(field.scalar)
+    zero, one = field.zero(), field.one()
+    symmetries = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(n)))
+        sign = draw(st.sampled_from((one, -one)))
+        symmetries.append([[sign if c == perm[r] else zero for c in range(n)] for r in range(n)])
+    # close the seed points under the symmetries
+    grid = list(itertools.product(map(field.scalar, coords), repeat=n))
+    W = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3, unique=True))
+    for w in W:
+        for S in symmetries:
+            image = tuple(sum(a * x for a, x in zip(row, w)) for row in S)
+            if image not in W:
+                W.append(image)
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    identity = [[one if c == r else zero for c in range(n)] for r in range(n)]
+    rank, reduced, _ = reference_rref([row + e for row, e in zip(A, identity)])
+    assume(rank == n and all(reduced[i][i] == 1 for i in range(n)))
+    inverse = [list(row[n:]) for row in reduced]
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    V = PointSet(field, n, [tuple(sum(a * x for a, x in zip(row, w)) + t for row, t in zip(A, b)) for w in W])
+    generators = []
+    for S in symmetries:
+        G = matmul(matmul(A, S), inverse)
+        translation = [t - sum(a * x for a, x in zip(row, b)) for row, t in zip(G, b)]
+        if draw(st.booleans()):
+            translation[draw(st.integers(0, n - 1))] += draw(entry)
+        generators.append(AffineMap(G, translation))
+    return V, generators
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_symmetries())
+def test_orbit_reduce_matches_the_field_scalar_reference(case):
+    V, generators = case
+    expected = orbits_or_error(reference_orbits, V, generators)
+    assert orbits_or_error(lambda: orbit_reduce(V, generators).orbits) == expected
+
+
+@pytest.mark.parametrize(
+    "desc, field",
+    [
+        ("cube:1", None),
+        ("cube:3", None),
+        ("cube:4", None),
+        ("cube:3", GF(2)),
+        ("cube:3", GF(5)),
+        ("perm:2", None),
+        ("perm:4", None),
+        ("ag:1:7", None),
+        ("ag:2:2", None),
+        ("ag:2:5", None),
+        ("ag:3:3", None),
+    ],
+)
+def test_orbit_reduce_matches_the_reference_on_the_symmetric_families(desc, field):
+    spec = FamilySpec.parse(desc, field)
+    V, generators = generate(spec), symmetry_generators(spec)
+    partition = orbit_reduce(V, generators)
+    assert partition.orbits == reference_orbits(V, generators)
+    assert partition.is_transitive
+
+
+def test_orbit_reduce_error_paths():
+    V = cube(2)
+    # (1, 0) goes to (1/2, 0): the map's scale c = 2 does not clear it
+    half = affine_map(QQ, [[Fraction(1, 2), 0], [0, 1]], [0, 0])
+    with pytest.raises(ValueError) as err:
+        orbit_reduce(V, [half])
+    assert str(err.value) == "generator does not preserve the point set: maps (1, 0) to (1/2, 0)"
+    # a projection, which the AffineMap constructor refuses as singular
+    projection = object.__new__(AffineMap)
+    projection.matrix = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+    projection.translation = (Fraction(0), Fraction(0))
+    with pytest.raises(ValueError, match="not injective"):
+        orbit_reduce(V, [projection])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        orbit_reduce(V, [affine_map(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])])
+    gf3 = PointSet.from_ints(GF(3), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    for W, field in [(V, GF(3)), (gf3, GF(5)), (gf3, QQ)]:
+        with pytest.raises(TypeError):
+            orbit_reduce(W, [affine_map(field, [[0, 1], [1, 0]], [0, 0])])
 
 
 def test_ac_numbers_jnq23():

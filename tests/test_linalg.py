@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from almostcover.cover import realize_trace
 from almostcover.fields import GF, QQ, scalar_field
@@ -175,6 +175,63 @@ def test_kernel_direction_is_equal_exactly_for_parallel_rows():
     assert g7([1, 1]) != g7([1, 2])
     # the lead is the first entry nonzero mod p, not the first nonzero int
     assert direction([-3, 1], 3) == (0, 1)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2**61 - 1])
+def test_direction_of_a_zero_row_raises(p):
+    for row in ([0, 0, 0], [0], []):
+        with pytest.raises(ValueError, match="zero row"):
+            direction(row, p)
+    if p is not None:
+        # zero mod p
+        with pytest.raises(ValueError, match="zero row"):
+            direction([p, -2 * p], p)
+
+
+def parallel(r, s, p):
+    """Cross-multiplication: every 2x2 minor of the two rows is 0 (mod p)."""
+    for i in range(len(r)):
+        for j in range(i + 1, len(r)):
+            minor = r[i] * s[j] - r[j] * s[i]
+            if minor % p if p else minor:
+                return False
+    return True
+
+
+@st.composite
+def row_pairs(draw):
+    """(p, r, s, c): two nonzero int rows, often parallel, both 0 at column c."""
+    p = draw(st.sampled_from((None, 5, 2**61 - 1)))
+    if p is None:
+        entry = st.integers(-6, 6)
+    elif p == 5:
+        entry = st.integers(-7, 12)
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.integers(0, p - 1))
+    n = draw(st.integers(2, 5))
+    base = draw(st.lists(entry, min_size=n, max_size=n))
+    a, b = draw(entry), draw(entry)
+    r = [a * x for x in base]
+    s = [b * x for x in base]
+    if draw(st.booleans()):
+        s[draw(st.integers(0, n - 1))] += draw(entry)
+    c = draw(st.integers(0, n - 1))
+    r[c] = s[c] = 0
+    assume(any(x % p if p else x for x in r) and any(x % p if p else x for x in s))
+    return p, r, s, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_direction_is_sign_free_and_parallelism_survives_a_shared_zero(pair):
+    # the two facts the coatom search rests on: one direction per pair of
+    # points, and residuals that lose their pivot column
+    p, r, s, c = pair
+    assert direction(r, p) == direction([-x for x in r], p)
+    assert (direction(r, p) == direction(s, p)) is parallel(r, s, p)
+    r_cut, s_cut = r[:c] + r[c + 1 :], s[:c] + s[c + 1 :]
+    assert parallel(r_cut, s_cut, p) is parallel(r, s, p)
+    assert (direction(r_cut, p) == direction(s_cut, p)) is parallel(r, s, p)
 
 
 def test_content_keeps_signs_and_divides_by_the_gcd():
