@@ -13,7 +13,6 @@ directions chosen so that every reported verdict and value is conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .linalg import PointSet
@@ -32,14 +31,22 @@ def ball_size(n: int, k: int) -> int:
     return math.comb(n + k, n)
 
 
-@dataclass
 class BoundReport:
     """One lower bound on an almost-cover number, with its provenance."""
 
-    method: str
-    value: int
-    certificate_point: tuple | None = None
-    details: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("method", "value", "certificate_point", "details")
+
+    def __init__(
+        self,
+        method: str,
+        value: int,
+        certificate_point: tuple | None = None,
+        details: dict | None = None,
+    ):
+        self.method = method
+        self.value = value
+        self.certificate_point = certificate_point
+        self.details = {} if details is None else details
 
 
 def counting_lower_bound(n: int, npoints: int) -> BoundReport:

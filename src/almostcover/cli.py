@@ -37,8 +37,8 @@ SCALE_NOTE = (
     "The exact solver enumerates the maximal affinely closed subsets, and "
     "their number, more than |V|, sets the cost. On sets whose certificate a "
     "cover meets, one point of cube:6 or perm:5 (64 and 120 points) takes "
-    "about two minutes; the level families take longer at the same size, "
-    "such as vnk:7:3 (64 points, 548 s at one point)."
+    "about a minute; the level families take longer at the same size, "
+    "such as vnk:7:3 (64 points, 336 s at one point)."
 )
 
 
@@ -303,10 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call and reused by the later ones
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

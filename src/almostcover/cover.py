@@ -24,7 +24,6 @@ hyperplane directly and serves as a cross-check of the closed-set mode.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 from math import lcm
 from operator import mul
 
@@ -43,34 +42,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CoverSolution:
     """A minimum (or best-found) almost cover at one excluded point."""
 
-    excluded: tuple
-    size: int
-    hyperplanes: tuple
-    lower_bound_used: int
-    optimal: bool
-    node_count: int = 0
+    __slots__ = ("excluded", "size", "hyperplanes", "lower_bound_used", "optimal", "node_count")
+
+    def __init__(
+        self,
+        excluded: tuple,
+        size: int,
+        hyperplanes: tuple,
+        lower_bound_used: int,
+        optimal: bool,
+        node_count: int = 0,
+    ):
+        self.excluded = excluded
+        self.size = size
+        self.hyperplanes = hyperplanes
+        self.lower_bound_used = lower_bound_used
+        self.optimal = optimal
+        self.node_count = node_count
 
 
-@dataclass(frozen=True)
 class OrbitPartition:
-    orbits: tuple
-    is_transitive: bool
+    __slots__ = ("orbits", "is_transitive")
+
+    def __init__(self, orbits: tuple, is_transitive: bool):
+        self.orbits = orbits
+        self.is_transitive = is_transitive
 
 
-@dataclass
 class ACNumbers:
     """Per-point almost-cover numbers with their max and min."""
 
-    per_point: tuple
-    ac_max: int
-    ac_min: int
-    optimal: bool
-    solutions: dict = dataclass_field(default_factory=dict)
-    orbits: OrbitPartition | None = None
+    __slots__ = ("per_point", "ac_max", "ac_min", "optimal", "solutions", "orbits")
+
+    def __init__(
+        self,
+        per_point: tuple,
+        ac_max: int,
+        ac_min: int,
+        optimal: bool,
+        solutions: dict | None = None,
+        orbits: OrbitPartition | None = None,
+    ):
+        self.per_point = per_point
+        self.ac_max = ac_max
+        self.ac_min = ac_min
+        self.optimal = optimal
+        self.solutions = {} if solutions is None else solutions
+        self.orbits = orbits
 
 
 def _indices(mask):
@@ -312,7 +333,7 @@ def _min_cover_over_masks(masks, target, floor, budget):
                 return True
             cuts.remove(cut)
             if hopeless(uncovered, cuts, depth):
-                return False
+                break
         return False
 
     dfs(target, dict(enumerate(masks)), [])
@@ -480,7 +501,10 @@ def orbit_reduce(V: PointSet, generators) -> OrbitPartition:
 
     Each generator must map the set bijectively onto itself; violations are
     reported with the offending point.  Orbits are listed by smallest
-    member, each sorted ascending.
+    member, each sorted ascending.  A generator is read through its
+    ``matrix``, ``translation`` and ``apply``.  An ``AffineMap`` refuses a
+    singular matrix, so it is injective on every set, and the "not
+    injective" check guards only a duck-typed generator that is not.
 
     The images are taken on ints.  V's points are read once as X = d x,
     with d their common denominator, and a generator x -> M x + t as cM

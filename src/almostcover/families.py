@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import InvariantError
 from .fields import GF, QQ, Field
@@ -41,16 +40,24 @@ FAMILY_ARGS = {
 }
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    kind: str
-    n: int
-    k: int | None = None
-    q: int | None = None
-    t: tuple | None = None
-    field: Field = QQ
+    __slots__ = ("kind", "n", "k", "q", "t", "field")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        k: int | None = None,
+        q: int | None = None,
+        t: tuple | None = None,
+        field: Field = QQ,
+    ):
+        self.kind = kind
+        self.n = n
+        self.k = k
+        self.q = q
+        self.t = t
+        self.field = field
         if self.kind not in FAMILY_ARGS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
@@ -80,6 +87,11 @@ class FamilySpec:
             raise ValueError(
                 f"embedding 1..{self.q} into GF({self.field.p}) is not injective"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @classmethod
     def parse(cls, text: str, field: Field | None = None) -> "FamilySpec":

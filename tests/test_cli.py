@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -364,6 +367,47 @@ def test_solve_rejects_flags_it_would_ignore(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    solve = ("solve", "--family", "cube:2")
+    sequence = [
+        (*solve, "--point", "x"),  # a usage error
+        ("solve", "--help"),
+        (*solve, "--point", "99"),  # a handler ValueError
+        (*solve, "--point", "0", "--json", "--no-timings"),
+        (*solve, "--point", "0", "--json", "--no-timings"),
+    ]
+    alone = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [2, 0, 2, 0, 0]
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in sequence] == alone
+    assert len(builds) == 1
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S: site itself may import typing; the baseline imports only the
+    # standard modules the package imports, so a Python release whose
+    # standard library loads inspect or typing does not fail this test
+    heavy = ("dataclasses", "inspect", "typing")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def loaded(imports):
+        probe = f"import sys, {imports}; print(*(m for m in {heavy!r} if m in sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        return set(done.stdout.split())
+
+    baseline = loaded("argparse, json, fractions, heapq, itertools, functools, math, operator, re")
+    found = loaded("almostcover.cli")
+    assert "dataclasses" not in found and found <= baseline
 
 
 # seven planar points whose minimum cover (3) needs actual branching, so a
